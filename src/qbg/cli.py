@@ -107,7 +107,8 @@ def _run_dist_q(config: RunConfig):
     meta = [("q", _fmt(params.q)), ("beta", _fmt(params.beta)),
             ("log_partition", _fmt(log_z))]
     rows = []
-    for energy, g, p in zip(spectrum.levels, spectrum.degeneracies, dist.probs):
+    for energy, g, p in zip(spectrum.levels.tolist(), spectrum.degeneracies.tolist(),
+                            dist.probs.tolist()):
         cut = q_log_weight(params, energy) is CUTOFF
         prob = "0" if cut else _fmt(p)
         rows.append(f"{_fmt(energy)},{g},{prob},{'true' if cut else 'false'}")
@@ -122,7 +123,8 @@ def _run_dist_ext(config: RunConfig):
     meta = [("order", str(m.order)), ("log_partition", _fmt(log_z))]
     rows = [
         f"{_fmt(energy)},{g},{_fmt(p)}"
-        for energy, g, p in zip(spectrum.levels, spectrum.degeneracies, dist.probs)
+        for energy, g, p in zip(spectrum.levels.tolist(), spectrum.degeneracies.tolist(),
+                                dist.probs.tolist())
     ]
     return meta, "energy,degeneracy,probability", rows
 

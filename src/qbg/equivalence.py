@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OrderTooLarge, OutsideConvergenceDomain, ZeroLeadingMultiplier
-from .extbg import MAX_ORDER, MultiplierVector, ext_distribution
+from .errors import OutsideConvergenceDomain, ZeroLeadingMultiplier
+from .extbg import MultiplierVector, _normalize, _require_order, _terms
 from .qstat import QParams, q_distribution
 from .spectrum import EnergySpectrum
 
@@ -57,8 +57,7 @@ def q_to_multipliers(params: QParams, order: int) -> MultiplierVector:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if order > MAX_ORDER:
-        raise OrderTooLarge(f"order {order} exceeds the cap of {MAX_ORDER}")
+    _require_order(order)
     one_minus_q = 1 - params.q
     beta = params.beta
     coeffs = tuple(
@@ -110,8 +109,7 @@ def clayton_to_q(delta):
 def convergence_domain_ratio(spectrum: EnergySpectrum, params: QParams) -> float:
     """max_i |(1-q)*beta*E_i|; the expansion converges at every level iff
     this is < 1."""
-    e = np.asarray(spectrum.levels)
-    return float(np.max(np.abs((1.0 - params.q) * params.beta * e)))
+    return float(np.max(np.abs((1.0 - params.q) * params.beta * spectrum.levels)))
 
 
 def equivalence_report(
@@ -123,22 +121,24 @@ def equivalence_report(
     Refuses with :class:`OutsideConvergenceDomain` when the domain ratio is
     >= 1: there the truncated series is not guaranteed to approach the
     q-distribution and the distances would be noise.
+
+    The term matrix ``beta_n * E_i**n`` is built once at ``max_order``; the
+    order-N exponents are the sums of its first N columns.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    if max_order > MAX_ORDER:
-        raise OrderTooLarge(f"max_order {max_order} exceeds the cap of {MAX_ORDER}")
+    _require_order(max_order)
     ratio = convergence_domain_ratio(spectrum, params)
     if ratio >= 1.0:
         raise OutsideConvergenceDomain(
             f"domain ratio {ratio} >= 1; the expansion does not converge on this spectrum"
         )
     exact, _ = q_distribution(spectrum, params)
-    exact_p = np.asarray(exact.probs)
-    orders = []
+    terms = _terms(spectrum, q_to_multipliers(params, max_order))
+    log_g = np.log(spectrum.degeneracies)
+    orders = tuple(range(1, max_order + 1))
     distances = []
-    for order in range(1, max_order + 1):
-        truncated, _ = ext_distribution(spectrum, q_to_multipliers(params, order))
-        distances.append(float(np.max(np.abs(np.asarray(truncated.probs) - exact_p))))
-        orders.append(order)
-    return EquivalenceReport(tuple(orders), tuple(distances), ratio)
+    for order in orders:
+        truncated, _ = _normalize(log_g - terms[:, :order].sum(axis=1))
+        distances.append(float(np.max(np.abs(truncated - exact.probs))))
+    return EquivalenceReport(orders, tuple(distances), ratio)

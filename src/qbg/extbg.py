@@ -116,49 +116,55 @@ class ClaytonParams:
             raise ValueError(f"delta must be finite, got {self.delta!r}")
 
 
-def _exponents(spectrum: EnergySpectrum, m: MultiplierVector) -> np.ndarray:
-    """Per-level exponents s_i = sum_n beta_n * E_i**n."""
-    e = np.asarray(spectrum.levels)
-    orders = np.arange(1, m.order + 1)
-    coeffs = np.asarray([float(c) for c in m.coeffs])
+def _power_matrix(spectrum: EnergySpectrum, order: int) -> np.ndarray:
+    return spectrum.levels[:, None] ** np.arange(1, order + 1)[None, :]
+
+
+def _terms(spectrum: EnergySpectrum, m: MultiplierVector) -> np.ndarray:
+    """Per-level, per-order terms ``beta_n * E_i**n``, shape (levels, order).
+
+    Summing the first N columns gives the order-N exponents exactly as a
+    fresh order-N evaluation would, so one matrix serves every truncation.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = coeffs[None, :] * e[:, None] ** orders[None, :]
+        terms = _power_matrix(spectrum, m.order)
+        terms *= np.asarray([float(c) for c in m.coeffs])
     if not np.all(np.isfinite(terms)):
         raise NonFiniteExponent(
             "some beta_n * E**n is not finite; rescale the spectrum or multipliers"
         )
-    return terms.sum(axis=1)
+    return terms
+
+
+def _exponents(spectrum: EnergySpectrum, m: MultiplierVector) -> np.ndarray:
+    """Per-level exponents s_i = sum_n beta_n * E_i**n."""
+    return _terms(spectrum, m).sum(axis=1)
+
+
+def _normalize(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Probabilities ``exp(a_i - log Z)`` and ``log Z = log sum_i exp(a_i)``
+    from per-level log weights ``a`` (``-inf`` marks a zero weight)."""
+    log_z = float(logsumexp(a))
+    return np.exp(a - log_z), log_z
 
 
 def log_partition(spectrum: EnergySpectrum, m: MultiplierVector) -> float:
     """log of ``sum_i g_i * exp(-sum_n beta_n E_i**n)``, max-shift stable."""
-    s = _exponents(spectrum, m)
-    log_g = np.log(np.asarray(spectrum.degeneracies, dtype=float))
-    return float(logsumexp(log_g - s))
+    return float(logsumexp(np.log(spectrum.degeneracies) - _exponents(spectrum, m)))
 
 
 def ext_distribution(
     spectrum: EnergySpectrum, m: MultiplierVector
 ) -> tuple[Distribution, float]:
     """Distribution ``P_i = g_i * exp(-sum_n beta_n E_i**n - log Z)`` and log Z."""
-    s = _exponents(spectrum, m)
-    log_g = np.log(np.asarray(spectrum.degeneracies, dtype=float))
-    a = log_g - s
-    log_z = float(logsumexp(a))
-    probs = np.exp(a - log_z)
-    return Distribution(tuple(probs)), log_z
+    probs, log_z = _normalize(np.log(spectrum.degeneracies) - _exponents(spectrum, m))
+    return Distribution(probs), log_z
 
 
 def bg_entropy(dist: Distribution) -> float:
     """Gibbs entropy -sum_i P_i log P_i with k = 1 and 0*log(0) = 0."""
-    p = np.asarray(dist.probs)
-    p = p[p > 0]
+    p = dist.probs[dist.probs > 0]
     return float(-(p * np.log(p)).sum())
-
-
-def _power_matrix(spectrum: EnergySpectrum, order: int) -> np.ndarray:
-    e = np.asarray(spectrum.levels)
-    return e[:, None] ** np.arange(1, order + 1)[None, :]
 
 
 def raw_moments(
@@ -169,8 +175,7 @@ def raw_moments(
         raise LengthMismatch(f"{len(spectrum)} levels but {len(dist)} probabilities")
     if order < 1:
         raise ValueError("order must be >= 1")
-    p = np.asarray(dist.probs)
-    mu = p @ _power_matrix(spectrum, order)
+    mu = dist.probs @ _power_matrix(spectrum, order)
     return MomentVector(tuple(mu))
 
 
@@ -183,8 +188,8 @@ def central_moments(
         raise LengthMismatch(f"{len(spectrum)} levels but {len(dist)} probabilities")
     if order < 1:
         raise ValueError("order must be >= 1")
-    p = np.asarray(dist.probs)
-    e = np.asarray(spectrum.levels)
+    p = dist.probs
+    e = spectrum.levels
     mean = float(p @ e)
     d = e - mean
     values = [float(p @ d ** n) for n in range(1, order + 1)]

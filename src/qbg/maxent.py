@@ -33,14 +33,15 @@ from .errors import (
     InfeasibleTargets,
     NotConverged,
     OrderMismatch,
-    OrderTooLarge,
     TooFewLevels,
 )
 from .extbg import (
-    MAX_ORDER,
     MomentVector,
     MultiplierVector,
+    _power_matrix,
+    _require_order,
     ext_distribution,
+    log_partition,
     raw_moments,
 )
 from .spectrum import EnergySpectrum, rescale
@@ -103,9 +104,8 @@ def dual_hessian(
     if order != m.order:
         raise OrderMismatch(f"multiplier order {m.order} but requested {order}")
     dist, _ = ext_distribution(spectrum, m)
-    p = np.asarray(dist.probs)
-    e = np.asarray(spectrum.levels)
-    pw = e[:, None] ** np.arange(1, order + 1)[None, :]
+    p = dist.probs
+    pw = _power_matrix(spectrum, order)
     mu = p @ pw
     second = pw.T @ (p[:, None] * pw)
     return second - np.outer(mu, mu)
@@ -151,15 +151,14 @@ def solve_multipliers(
     if opts is None:
         opts = SolverOptions()
     n_order = targets.order
-    if n_order > MAX_ORDER:
-        raise OrderTooLarge(f"order {n_order} exceeds the cap of {MAX_ORDER}")
+    _require_order(n_order)
     if len(spectrum) < n_order + 1:
         raise TooFewLevels(
             f"order {n_order} needs at least {n_order + 1} distinct levels, "
             f"spectrum has {len(spectrum)}"
         )
     mu_t = np.asarray(targets.values)
-    e_min, e_max = spectrum.levels[0], spectrum.levels[-1]
+    e_min, e_max = float(spectrum.levels[0]), float(spectrum.levels[-1])
     if mu_t[0] < e_min or mu_t[0] > e_max:
         raise InfeasibleTargets(
             f"mu_1 = {mu_t[0]} lies outside the level range [{e_min}, {e_max}]"
@@ -174,8 +173,7 @@ def solve_multipliers(
     powers_of_scale = scale ** np.arange(1, n_order + 1)
     t_scaled = mu_t / powers_of_scale
 
-    x = np.asarray(scaled.levels)
-    pw = x[:, None] ** np.arange(1, n_order + 1)[None, :]
+    pw = _power_matrix(scaled, n_order)
 
     def back_transform(b: np.ndarray) -> MultiplierVector:
         return MultiplierVector(tuple(b / powers_of_scale))
@@ -185,7 +183,7 @@ def solve_multipliers(
     final_step = 0.0
     while True:
         dist, log_z = ext_distribution(scaled, MultiplierVector(tuple(b)))
-        p = np.asarray(dist.probs)
+        p = dist.probs
         mu = _moments_of(p, pw)
         residual = mu - t_scaled
         residual_norm = float(np.max(np.abs(residual)))
@@ -214,9 +212,7 @@ def solve_multipliers(
         step = 1.0
         while True:
             trial = b + step * direction
-            trial_dist, trial_log_z = ext_distribution(
-                scaled, MultiplierVector(tuple(trial))
-            )
+            trial_log_z = log_partition(scaled, MultiplierVector(tuple(trial)))
             trial_dual = trial_log_z + float(trial @ t_scaled)
             if math.isfinite(trial_dual) and trial_dual <= dual_value + opts.armijo_c * step * slope:
                 break

@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import AllLevelsCutOff, LengthMismatch
+from .extbg import _normalize
 from .spectrum import Distribution, EnergySpectrum
 
 #: Below this |q - 1| the exact Boltzmann/Gibbs formulas are used.
@@ -82,23 +82,28 @@ def q_distribution(
     ``P_i`` is proportional to ``g_i * [1-(1-q)*beta*E_i]**(1/(1-q))``;
     cut-off levels get probability exactly 0.  The log partition function
     ``log(sum_i g_i * w_i)`` is accumulated in log space (max shift), so
-    large exponents do not overflow.
+    large exponents do not overflow.  Each level's log weight equals
+    :func:`q_log_weight`'s, with ``-inf`` for a cut-off level.
     """
-    a = np.full(len(spectrum), -np.inf)
-    any_active = False
-    for i, (energy, g) in enumerate(zip(spectrum.levels, spectrum.degeneracies)):
-        w = q_log_weight(params, energy)
-        if w is CUTOFF:
-            continue
-        a[i] = math.log(g) + w
-        any_active = True
-    if not any_active:
-        raise AllLevelsCutOff(
-            f"every level of the spectrum is cut off at q={params.q}, beta={params.beta}"
-        )
-    log_z = float(logsumexp(a))
-    probs = np.exp(a - log_z)
-    return Distribution(tuple(probs)), log_z
+    q, beta = params.q, params.beta
+    e = spectrum.levels
+    if abs(q - 1.0) < Q_ONE_EPS:
+        log_w = -beta * e
+    else:
+        u = -(1.0 - q) * beta * e
+        active = 1.0 + u > 0.0
+        n_active = int(np.count_nonzero(active))
+        if n_active == 0:
+            raise AllLevelsCutOff(
+                f"every level of the spectrum is cut off at q={params.q}, beta={params.beta}"
+            )
+        log_w = np.full(len(e), -np.inf)
+        # math.log1p, not np.log1p: the two differ in the last bit for some u
+        log_w[active] = np.fromiter(
+            map(math.log1p, u[active].tolist()), np.float64, n_active
+        ) / (1.0 - q)
+    probs, log_z = _normalize(np.log(spectrum.degeneracies) + log_w)
+    return Distribution(probs), log_z
 
 
 def tsallis_entropy(dist: Distribution, q: float) -> float:
@@ -108,8 +113,7 @@ def tsallis_entropy(dist: Distribution, q: float) -> float:
     exact in the q -> 1 limit direction; |q-1| < 1e-12 routes to the plain
     Gibbs formula.
     """
-    p = np.asarray(dist.probs)
-    p = p[p > 0]
+    p = dist.probs[dist.probs > 0]
     if abs(q - 1.0) < Q_ONE_EPS:
         return float(-(p * np.log(p)).sum())
     return float(-(p * np.expm1((q - 1.0) * np.log(p))).sum() / (q - 1.0))
@@ -126,9 +130,9 @@ def escort_energy(dist: Distribution, spectrum: EnergySpectrum, q: float) -> flo
         raise LengthMismatch(
             f"{len(spectrum)} levels but {len(dist)} probabilities"
         )
-    p = np.asarray(dist.probs)
-    e = np.asarray(spectrum.levels)
-    g = np.asarray(spectrum.degeneracies, dtype=float)
+    p = dist.probs
+    e = spectrum.levels
+    g = spectrum.degeneracies.astype(np.float64)
     mask = p > 0
     terms = g[mask] ** (1.0 - q) * p[mask] ** q * e[mask]
     return float(terms.sum())
@@ -137,6 +141,4 @@ def escort_energy(dist: Distribution, spectrum: EnergySpectrum, q: float) -> flo
 def product_distribution(a: Distribution, b: Distribution) -> Distribution:
     """Joint distribution of two independent systems, row-major:
     entry ``i*len(b) + j`` equals ``a_i * b_j``."""
-    pa = np.asarray(a.probs)
-    pb = np.asarray(b.probs)
-    return Distribution(tuple(np.outer(pa, pb).ravel()))
+    return Distribution(np.outer(a.probs, b.probs).ravel())

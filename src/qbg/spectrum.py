@@ -1,18 +1,23 @@
 """Finite discrete energy spectra and degeneracy-weighted sums.
 
-A spectrum is a strictly increasing list of energy levels E_i with positive
+A spectrum is a strictly increasing array of energy levels E_i with positive
 integer degeneracies g_i.  A trace of a per-level quantity f is the weighted
 sum ``sum_i g_i * f_i``.  Probabilities are stored per level with the
 degeneracy already folded in, so ``P_i`` is the total probability of level i.
 
-All values are immutable after construction and all operations are pure
-functions, so everything here is safe for unrestricted concurrent use.
+``EnergySpectrum.levels`` is a float64 array, ``EnergySpectrum.degeneracies``
+an int64 array and ``Distribution.probs`` a float64 array.  Each is a private,
+read-only copy made at construction (writing into one raises ``ValueError``),
+so all values are immutable and all operations are pure functions, safe for
+unrestricted concurrent use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     EmptySpectrum,
@@ -27,34 +32,63 @@ from .errors import (
 NORMALIZATION_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+def _frozen_vector(values, dtype, what: str) -> np.ndarray:
+    """A read-only 1-D copy of ``values`` as ``dtype``."""
+    a = np.array(values, dtype=dtype)
+    if a.ndim != 1:
+        raise ValueError(f"{what} must be a one-dimensional sequence")
+    a.flags.writeable = False
+    return a
+
+
+def _integer_degeneracies(values) -> np.ndarray:
+    """``values`` as an integer array; a value that is not an integer, or
+    does not fit in int64, raises :class:`NonPositiveDegeneracy`."""
+    degs = np.asarray(values)
+    if degs.dtype.kind in "biu":
+        return degs
+    as_float = degs.astype(np.float64)
+    bad = ~(np.abs(as_float) < 2.0**63) | (as_float != np.trunc(as_float))
+    if bad.any():
+        raise NonPositiveDegeneracy(
+            f"degeneracy {float(as_float[bad][0])!r} is not an int64 integer"
+        )
+    return as_float
+
+
+@dataclass(frozen=True, eq=False)
 class EnergySpectrum:
     """Energy levels (strictly increasing, finite) with degeneracies >= 1."""
 
-    levels: tuple[float, ...]
-    degeneracies: tuple[int, ...]
+    levels: np.ndarray
+    degeneracies: np.ndarray
 
     def __post_init__(self):
-        levels = tuple(float(e) for e in self.levels)
-        if len(levels) == 0:
+        levels = _frozen_vector(self.levels, np.float64, "levels")
+        if levels.size == 0:
             raise EmptySpectrum("spectrum has no levels")
-        if any(not math.isfinite(e) for e in levels):
+        if not np.isfinite(levels).all():
             raise ValueError("levels must be finite")
-        if any(b <= a for a, b in zip(levels, levels[1:])):
+        if not (levels[1:] > levels[:-1]).all():
             raise UnsortedLevels("levels must be strictly increasing")
-        degs = []
-        for g in self.degeneracies:
-            if g != int(g):
-                raise NonPositiveDegeneracy(f"degeneracy {g!r} is not an integer")
-            degs.append(int(g))
-        if len(degs) != len(levels):
+        degs = _frozen_vector(
+            _integer_degeneracies(self.degeneracies), np.int64, "degeneracies"
+        )
+        if degs.size != levels.size:
             raise LengthMismatch(
-                f"{len(levels)} levels but {len(degs)} degeneracies"
+                f"{levels.size} levels but {degs.size} degeneracies"
             )
-        if any(g < 1 for g in degs):
+        if not (degs >= 1).all():
             raise NonPositiveDegeneracy("every degeneracy must be >= 1")
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "degeneracies", tuple(degs))
+        object.__setattr__(self, "degeneracies", degs)
+
+    def __eq__(self, other):
+        if not isinstance(other, EnergySpectrum):
+            return NotImplemented
+        return np.array_equal(self.levels, other.levels) and np.array_equal(
+            self.degeneracies, other.degeneracies
+        )
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -62,43 +96,50 @@ class EnergySpectrum:
     @property
     def state_count(self) -> int:
         """Total number of states, sum of degeneracies."""
-        return sum(self.degeneracies)
+        return int(self.degeneracies.sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distribution:
     """Per-level probabilities; degeneracy is folded into each entry."""
 
-    probs: tuple[float, ...]
+    probs: np.ndarray
 
     def __post_init__(self):
-        probs = tuple(float(p) for p in self.probs)
-        if len(probs) == 0:
+        probs = _frozen_vector(self.probs, np.float64, "probabilities")
+        if probs.size == 0:
             raise ValueError("distribution has no entries")
-        if any(p < 0 or not math.isfinite(p) for p in probs):
+        if not (np.isfinite(probs) & (probs >= 0)).all():
             raise ValueError("probabilities must be finite and >= 0")
-        total = math.fsum(probs)
+        # pairwise summation: error ~ log2(n) * eps, far below the tolerance
+        total = float(probs.sum())
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "probs", probs)
+
+    def __eq__(self, other):
+        if not isinstance(other, Distribution):
+            return NotImplemented
+        return np.array_equal(self.probs, other.probs)
 
     def __len__(self) -> int:
         return len(self.probs)
 
 
 def make_spectrum(levels, degeneracies) -> EnergySpectrum:
-    """Validate and build a spectrum from level energies and degeneracies."""
-    return EnergySpectrum(tuple(levels), tuple(degeneracies))
+    """Validate and build a spectrum from level energies and degeneracies
+    (sequences or arrays)."""
+    return EnergySpectrum(levels, degeneracies)
 
 
 def trace_of(spectrum: EnergySpectrum, per_level_values) -> float:
     """Degeneracy-weighted sum ``sum_i g_i * value_i``."""
-    values = tuple(float(v) for v in per_level_values)
-    if len(values) != len(spectrum):
+    values = np.asarray(per_level_values, dtype=np.float64)
+    if values.shape != spectrum.levels.shape:
         raise LengthMismatch(
-            f"{len(spectrum)} levels but {len(values)} values"
+            f"{len(spectrum)} levels but {values.size} values"
         )
-    return math.fsum(g * v for g, v in zip(spectrum.degeneracies, values))
+    return math.fsum((spectrum.degeneracies * values).tolist())
 
 
 def rescale(spectrum: EnergySpectrum, scale: float) -> EnergySpectrum:
@@ -106,9 +147,7 @@ def rescale(spectrum: EnergySpectrum, scale: float) -> EnergySpectrum:
     scale = float(scale)
     if not scale > 0 or not math.isfinite(scale):
         raise NonPositiveScale(f"scale must be positive and finite, got {scale!r}")
-    return EnergySpectrum(
-        tuple(e / scale for e in spectrum.levels), spectrum.degeneracies
-    )
+    return EnergySpectrum(spectrum.levels / scale, spectrum.degeneracies)
 
 
 def load_spectrum(path) -> EnergySpectrum:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from qbg.cli import main
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -243,3 +245,22 @@ class TestConfigAndErrors:
     def test_missing_out(self):
         result = run_cli("map", "--q", "1", "--beta", "1", "--order", "2", check=False)
         assert result.returncode != 0
+
+
+RECORDED = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "cli_cases.json").read_text(encoding="utf-8")
+)["cases"]
+
+
+class TestRecordedReports:
+    """Every case recorded in perfbench/cli_cases.json, run in process, must
+    reproduce its recorded report byte for byte."""
+
+    @pytest.mark.parametrize("case", RECORDED, ids=[c["id"] for c in RECORDED])
+    def test_bytes_match_recording(self, case, tmp_path):
+        for name, text in case["files"].items():
+            (tmp_path / name).write_bytes(text.encode("utf-8"))
+        args = [a.replace("{dir}", str(tmp_path)) for a in case["args"]]
+        out = tmp_path / "report.csv"
+        assert main([case["subcommand"], *args, "--out", str(out)]) == 0
+        assert out.read_bytes() == case["expected"].encode("utf-8")

@@ -2,20 +2,27 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qbg import (
+    MAX_ORDER,
     MultiplierVector,
     QParams,
     clayton_multipliers,
     clayton_to_q,
     convergence_domain_ratio,
     equivalence_report,
+    ext_distribution,
     make_spectrum,
     multipliers_to_q,
+    q_distribution,
     q_to_multipliers,
 )
 from qbg.errors import OrderTooLarge, OutsideConvergenceDomain, ZeroLeadingMultiplier
 from qbg.extbg import ClaytonParams
+
+from conftest import spectra
 
 
 class TestQToMultipliers:
@@ -148,6 +155,21 @@ class TestEquivalenceReport:
         s = make_spectrum([0, 1], [1, 1])
         with pytest.raises(OrderTooLarge):
             equivalence_report(s, QParams(0.98, 1.0), 21)
+
+    @given(spectra(max_degeneracy=1000),
+           st.floats(-0.5, 0.5, allow_nan=False), st.floats(0.01, 0.95),
+           st.integers(1, MAX_ORDER))
+    def test_matches_per_order_ext_distribution(self, s, one_minus_q, ratio, max_order):
+        # the one-matrix sweep reproduces a fresh ext_distribution per order
+        e_abs = float(np.max(np.abs(s.levels)))
+        beta = min(ratio / (abs(one_minus_q) * e_abs), 5.0) if one_minus_q * e_abs else 1.0
+        params = QParams(1.0 - one_minus_q, beta)
+        report = equivalence_report(s, params, max_order)
+        exact, _ = q_distribution(s, params)
+        assert report.orders == tuple(range(1, max_order + 1))
+        for order, distance in zip(report.orders, report.sup_distances):
+            truncated, _ = ext_distribution(s, q_to_multipliers(params, order))
+            assert distance == float(np.max(np.abs(truncated.probs - exact.probs)))
 
     def test_geometric_decay_envelope(self):
         """Distances fall like r^(N+1)/(N+1).

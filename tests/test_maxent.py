@@ -220,12 +220,9 @@ class TestSolveMultipliers:
 
         monkeypatch.setattr(maxent_module, "ext_distribution", recording)
         solve_multipliers(s, targets)
-        # loop-top evaluations repeat the coefficients just accepted by the
-        # line search; collect those to get the accepted trajectory
-        accepted = [calls[0][1]]
-        for (prev_coeffs, _), (coeffs, dual) in zip(calls, calls[1:]):
-            if coeffs == prev_coeffs:
-                accepted.append(dual)
+        # the line search evaluates only log Z, so every ext_distribution
+        # call is a loop-top evaluation at an accepted iterate
+        accepted = [dual for _, dual in calls]
         assert len(accepted) >= 2
         for earlier, later in zip(accepted, accepted[1:]):
             assert later <= earlier + 1e-13

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from qbg import (
     CUTOFF,
@@ -55,7 +56,7 @@ class TestQDistribution:
     def test_zero_beta_gives_uniform(self):
         s = make_spectrum([0, 1], [1, 1])
         d, _ = q_distribution(s, QParams(1.0, 0.0))
-        assert d.probs == (0.5, 0.5)
+        assert tuple(d.probs) == (0.5, 0.5)
 
     def test_q2_two_levels(self):
         # weights (1+E)^-1 = (1, 0.5); Z = 1.5
@@ -114,6 +115,56 @@ class TestQDistribution:
             for q in (1 - 1e-8, 1 + 1e-8):
                 d, _ = q_distribution(s, QParams(q, beta))
                 assert np.max(np.abs(np.asarray(d.probs) - exact)) <= 1e-6
+
+
+def per_level_q_distribution(spectrum, params):
+    """The q-distribution from one scalar q_log_weight call per level, or
+    None when every level is cut off."""
+    a = np.array([
+        -math.inf if (w := q_log_weight(params, e)) is CUTOFF else math.log(g) + w
+        for e, g in zip(spectrum.levels.tolist(), spectrum.degeneracies.tolist())
+    ])
+    if np.all(a == -math.inf):
+        return None
+    log_z = float(logsumexp(a))
+    return np.exp(a - log_z), log_z
+
+
+# 1 - q: both sides of 1, wide enough to cut levels off, and below the
+# 1e-12 threshold of the exact Boltzmann branch
+ONE_MINUS_Q = st.one_of(
+    st.floats(-0.9, 0.9, allow_nan=False),
+    st.floats(-1e-9, 1e-9, allow_nan=False),
+    st.floats(-1e-12, 1e-12, allow_nan=False, exclude_min=True, exclude_max=True),
+)
+
+
+class TestVectorizedMatchesPerLevel:
+    """q_distribution is bit-identical to a per-level scalar evaluation."""
+
+    @staticmethod
+    def check(spectrum, params):
+        reference = per_level_q_distribution(spectrum, params)
+        if reference is None:
+            with pytest.raises(AllLevelsCutOff):
+                q_distribution(spectrum, params)
+            return
+        d, log_z = q_distribution(spectrum, params)
+        assert np.array_equal(d.probs, reference[0])
+        assert log_z == reference[1]
+
+    @settings(max_examples=300)
+    @given(spectra(max_degeneracy=1000), ONE_MINUS_Q,
+           st.floats(0.0, 5.0, allow_nan=False))
+    def test_random_spectra(self, s, one_minus_q, beta):
+        self.check(s, QParams(1.0 - one_minus_q, beta))
+
+    def test_large_spectrum_with_cutoffs(self):
+        rng = np.random.default_rng(11)
+        s = make_spectrum(np.linspace(-2.0, 8.0, 5000), rng.integers(1, 1001, 5000))
+        for q, beta in ((0.8, 0.9), (0.99, 1.0), (1.2, 0.3), (1.5, 1.0),
+                        (1 - 5e-13, 1.0), (1 + 5e-13, 1.0), (1 - 1e-6, 2.0)):
+            self.check(s, QParams(q, beta))
 
 
 class TestTsallisEntropy:
@@ -177,14 +228,14 @@ class TestEscortEnergy:
 class TestProductDistribution:
     def test_uniform_times_uniform(self):
         u = Distribution((0.5, 0.5))
-        assert product_distribution(u, u).probs == (0.25, 0.25, 0.25, 0.25)
+        assert tuple(product_distribution(u, u).probs) == (0.25, 0.25, 0.25, 0.25)
 
     def test_point_mass_embeds_other_factor(self):
         point = Distribution((1.0, 0.0))
         d = Distribution((0.3, 0.7))
-        assert product_distribution(point, d).probs == (0.3, 0.7, 0.0, 0.0)
+        assert tuple(product_distribution(point, d).probs) == (0.3, 0.7, 0.0, 0.0)
 
     def test_direct_multiplication_row_major(self):
         a = Distribution((0.8, 0.2))
         b = Distribution((0.5, 0.5))
-        assert product_distribution(a, b).probs == (0.4, 0.4, 0.1, 0.1)
+        assert tuple(product_distribution(a, b).probs) == (0.4, 0.4, 0.1, 0.1)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -20,8 +21,8 @@ from conftest import spectra
 class TestMakeSpectrum:
     def test_minimal_two_level(self):
         s = make_spectrum([0, 1], [1, 1])
-        assert s.levels == (0.0, 1.0)
-        assert s.degeneracies == (1, 1)
+        assert tuple(s.levels) == (0.0, 1.0)
+        assert tuple(s.degeneracies) == (1, 1)
 
     def test_degenerate_middle_level(self):
         s = make_spectrum([0, 1, 2], [1, 2, 1])
@@ -47,6 +48,10 @@ class TestMakeSpectrum:
         with pytest.raises(NonPositiveDegeneracy):
             make_spectrum([0], [1.5])
 
+    def test_degeneracy_beyond_int64_rejected(self):
+        with pytest.raises(NonPositiveDegeneracy):
+            make_spectrum([0], [2**70])
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(LengthMismatch):
             make_spectrum([0, 1], [1])
@@ -57,7 +62,7 @@ class TestMakeSpectrum:
 
     def test_negative_levels_allowed(self):
         s = make_spectrum([-2.5, 0.5], [1, 3])
-        assert s.levels == (-2.5, 0.5)
+        assert tuple(s.levels) == (-2.5, 0.5)
 
 
 class TestTrace:
@@ -85,14 +90,14 @@ class TestTrace:
 
 class TestRescale:
     def test_direct_division(self):
-        assert rescale(make_spectrum([0, 10], [1, 1]), 10).levels == (0.0, 1.0)
+        assert tuple(rescale(make_spectrum([0, 10], [1, 1]), 10).levels) == (0.0, 1.0)
 
     def test_identity(self):
         s = make_spectrum([0, 1], [1, 1])
         assert rescale(s, 1.0) == s
 
     def test_three_levels(self):
-        assert rescale(make_spectrum([0, 2, 4], [1, 1, 1]), 2).levels == (0.0, 1.0, 2.0)
+        assert tuple(rescale(make_spectrum([0, 2, 4], [1, 1, 1]), 2).levels) == (0.0, 1.0, 2.0)
 
     def test_nonpositive_scale_rejected(self):
         s = make_spectrum([0, 1], [1, 1])
@@ -127,13 +132,41 @@ class TestDistribution:
         Distribution((1.0, 0.0, 0.0))
 
 
+class TestReadOnlyArrays:
+    def test_arrays_have_fixed_dtypes(self):
+        s = make_spectrum([0, 1], [1, 2])
+        assert s.levels.dtype == np.float64
+        assert s.degeneracies.dtype == np.int64
+        assert Distribution((0.25, 0.75)).probs.dtype == np.float64
+
+    def test_writing_into_levels_raises(self):
+        s = make_spectrum([0, 1], [1, 1])
+        with pytest.raises(ValueError):
+            s.levels[0] = 5.0
+        with pytest.raises(ValueError):
+            s.degeneracies[0] = 5
+        assert tuple(s.levels) == (0.0, 1.0)
+
+    def test_writing_into_probs_raises(self):
+        d = Distribution((0.25, 0.75))
+        with pytest.raises(ValueError):
+            d.probs[0] = 0.75
+        assert tuple(d.probs) == (0.25, 0.75)
+
+    def test_input_array_is_copied(self):
+        levels = np.array([0.0, 1.0])
+        s = make_spectrum(levels, [1, 1])
+        levels[0] = -1.0
+        assert tuple(s.levels) == (0.0, 1.0)
+
+
 class TestLoadSpectrum:
     def test_parses_levels_comments_and_blanks(self, tmp_path):
         path = tmp_path / "spec.csv"
         path.write_text("# header comment\n0.0,1\n\n1.5,2\n# trailing\n2.5,1\n")
         s = load_spectrum(path)
-        assert s.levels == (0.0, 1.5, 2.5)
-        assert s.degeneracies == (1, 2, 1)
+        assert tuple(s.levels) == (0.0, 1.5, 2.5)
+        assert tuple(s.degeneracies) == (1, 2, 1)
 
     def test_bad_field_count_reports_line(self, tmp_path):
         path = tmp_path / "spec.csv"
