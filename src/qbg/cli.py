@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -47,18 +48,6 @@ from .qstat import (
     tsallis_entropy,
 )
 from .spectrum import load_spectrum
-
-SUBCOMMANDS = (
-    "dist-q",
-    "dist-ext",
-    "map",
-    "invert-map",
-    "clayton",
-    "equiv",
-    "solve",
-    "entropy",
-)
-
 
 @dataclass
 class RunConfig:
@@ -234,6 +223,7 @@ _HANDLERS = {
     "solve": _run_solve,
     "entropy": _run_entropy,
 }
+SUBCOMMANDS = tuple(_HANDLERS)
 
 
 def run(config: RunConfig) -> int:
@@ -255,10 +245,30 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-def _parse_targets(value) -> tuple[float, ...]:
-    if isinstance(value, str):
-        return tuple(float(part) for part in value.split(","))
-    return tuple(float(part) for part in value)
+def _number(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a number")
+    return float(value)
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _targets(value) -> tuple[float, ...]:
+    parts = value.split(",") if isinstance(value, str) else value
+    return tuple(_number(part) for part in parts)
+
+
+#: How each parameter is converted, and what a value of it must be.
+_CONVERSIONS = {
+    **dict.fromkeys(("spectrum", "multipliers", "out"), (os.fspath, "a path")),
+    **dict.fromkeys(("q", "beta", "delta", "tol"), (_number, "a number")),
+    **dict.fromkeys(("order", "max_order"), (_integer, "an integer")),
+    "targets": (_targets, "a list of numbers"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,18 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    values = {
-        "spectrum": args.spectrum,
-        "multipliers": args.multipliers,
-        "q": args.q,
-        "beta": args.beta,
-        "delta": args.delta,
-        "order": args.order,
-        "max_order": args.max_order,
-        "targets": args.targets,
-        "tol": args.tol,
-        "out": args.out,
-    }
+    """Flags, and the config file for what they leave unset, each value
+    converted for its field; a value that does not convert is a ValueError."""
+    values = {key: getattr(args, key) for key in _CONVERSIONS}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_values = json.load(fh)
@@ -309,14 +310,14 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
                 raise ValueError(f"unknown config key {key!r}")
             if values[key] is None:
                 values[key] = value
-    if values["targets"] is not None:
-        values["targets"] = _parse_targets(values["targets"])
-    for int_key in ("order", "max_order"):
-        if values[int_key] is not None:
-            values[int_key] = int(values[int_key])
-    for float_key in ("q", "beta", "delta", "tol"):
-        if values[float_key] is not None:
-            values[float_key] = float(values[float_key])
+    for key, (convert, kind) in _CONVERSIONS.items():
+        value = values[key]
+        if value is not None:
+            try:
+                values[key] = convert(value)
+            except (TypeError, ValueError, OverflowError):
+                flag = "--" + key.replace("_", "-")
+                raise ValueError(f"{flag} must be {kind}, got {value!r}") from None
     return RunConfig(subcommand=args.subcommand, **values)
 
 

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import LengthMismatch, NonFiniteExponent, OrderTooLarge, ParseError
-from .spectrum import Distribution, EnergySpectrum
+from .spectrum import Distribution, EnergySpectrum, _field, _pairs
 
 #: Largest supported multiplier/moment order; binomial transforms use exact
 #: integer arithmetic and refuse beyond this.
@@ -37,10 +36,15 @@ def _as_number(x):
     return x
 
 
-def _check_finite(values, what):
+def _finite_tuple(values, what: str, convert=_as_number) -> tuple:
+    """``values`` converted to a tuple of at least one finite number."""
+    values = tuple(convert(v) for v in values)
+    if not values:
+        raise ValueError(f"at least one {what} is required")
     for v in values:
         if not math.isfinite(float(v)):
-            raise ValueError(f"{what} must be finite, got {v!r}")
+            raise ValueError(f"{what}s must be finite, got {v!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -50,10 +54,7 @@ class MultiplierVector:
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple(_as_number(c) for c in self.coeffs)
-        if len(coeffs) < 1:
-            raise ValueError("at least one multiplier is required")
-        _check_finite(coeffs, "multipliers")
+        coeffs = _finite_tuple(self.coeffs, "multiplier")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -69,10 +70,7 @@ class CenteredMultiplierVector:
     center: float
 
     def __post_init__(self):
-        coeffs = tuple(_as_number(c) for c in self.coeffs)
-        if len(coeffs) < 1:
-            raise ValueError("at least one multiplier is required")
-        _check_finite(coeffs, "multipliers")
+        coeffs = _finite_tuple(self.coeffs, "multiplier")
         if not math.isfinite(float(self.center)):
             raise ValueError(f"center must be finite, got {self.center!r}")
         object.__setattr__(self, "coeffs", coeffs)
@@ -90,11 +88,7 @@ class MomentVector:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
-        if len(values) < 1:
-            raise ValueError("at least one moment is required")
-        _check_finite(values, "moments")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _finite_tuple(self.values, "moment", float))
 
     @property
     def order(self) -> int:
@@ -141,16 +135,30 @@ def _exponents(spectrum: EnergySpectrum, m: MultiplierVector) -> np.ndarray:
     return _terms(spectrum, m).sum(axis=1)
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """``log sum_i exp(a_i)`` of a 1-D float64 array with a finite maximum,
+    bit for bit as ``scipy.special.logsumexp`` (1.17): the m entries tied at
+    the maximum give ``log1p(s / m) + log(m) + max``, s the others' sum."""
+    a_max = a.max(keepdims=True)
+    ties = a == a_max
+    m = ties.sum(keepdims=True, dtype=np.float64)
+    s = np.exp(np.where(ties, -np.inf, a) - a_max).sum(keepdims=True)
+    if s[0] != 0:
+        s = s / m
+    # np.log1p, not math.log1p: they differ in the last bit for some s
+    return float((np.log1p(s) + np.log(m) + a_max)[0])
+
+
 def _normalize(a: np.ndarray) -> tuple[np.ndarray, float]:
     """Probabilities ``exp(a_i - log Z)`` and ``log Z = log sum_i exp(a_i)``
     from per-level log weights ``a`` (``-inf`` marks a zero weight)."""
-    log_z = float(logsumexp(a))
+    log_z = _logsumexp(a)
     return np.exp(a - log_z), log_z
 
 
 def log_partition(spectrum: EnergySpectrum, m: MultiplierVector) -> float:
     """log of ``sum_i g_i * exp(-sum_n beta_n E_i**n)``, max-shift stable."""
-    return float(logsumexp(np.log(spectrum.degeneracies) - _exponents(spectrum, m)))
+    return _logsumexp(np.log(spectrum.degeneracies) - _exponents(spectrum, m))
 
 
 def ext_distribution(
@@ -257,29 +265,13 @@ def load_multipliers(path) -> MultiplierVector:
     """Read a multiplier file: one ``n,beta_n`` pair per line, n ascending
     from 1.  Lines starting with ``#`` and blank lines are ignored."""
     coeffs: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(path, lineno, f"expected 'n,beta_n', got {line!r}")
-            try:
-                n = int(parts[0])
-            except ValueError:
-                raise ParseError(path, lineno, f"bad order {parts[0]!r}") from None
-            if n != len(coeffs) + 1:
-                raise ParseError(
-                    path, lineno, f"orders must ascend from 1, got {n} after {len(coeffs)}"
-                )
-            try:
-                value = float(parts[1])
-            except ValueError:
-                raise ParseError(path, lineno, f"bad multiplier {parts[1]!r}") from None
-            if not math.isfinite(value):
-                raise ParseError(path, lineno, f"multiplier {parts[1]!r} is not finite")
-            coeffs.append(value)
+    for lineno, left, right in _pairs(path, "n,beta_n"):
+        n = _field(path, lineno, left, int, "order")
+        if n != len(coeffs) + 1:
+            raise ParseError(
+                path, lineno, f"orders must ascend from 1, got {n} after {len(coeffs)}"
+            )
+        coeffs.append(_field(path, lineno, right, float, "multiplier"))
     if not coeffs:
         raise ParseError(path, 0, "no multipliers found")
     return MultiplierVector(tuple(coeffs))

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     InfeasibleTargets,
@@ -111,13 +110,11 @@ def dual_hessian(
     return second - np.outer(mu, mu)
 
 
-def _moments_of(p: np.ndarray, pw: np.ndarray) -> np.ndarray:
-    return p @ pw
-
-
 def _newton_direction(h: np.ndarray, residual: np.ndarray, ridge_floor: float):
     """Solve (H + ridge*I) d = residual; ridge only on factorization failure,
     escalated x10 up to 1e-6."""
+    # imported here so only solves pay for it; numpy's Cholesky differs in bits
+    import scipy.linalg
     n = h.shape[0]
     ridge = 0.0
     while True:
@@ -184,7 +181,7 @@ def solve_multipliers(
     while True:
         dist, log_z = ext_distribution(scaled, MultiplierVector(tuple(b)))
         p = dist.probs
-        mu = _moments_of(p, pw)
+        mu = p @ pw
         residual = mu - t_scaled
         residual_norm = float(np.max(np.abs(residual)))
         dual_value = log_z + float(b @ t_scaled)

@@ -150,6 +150,32 @@ def rescale(spectrum: EnergySpectrum, scale: float) -> EnergySpectrum:
     return EnergySpectrum(spectrum.levels / scale, spectrum.degeneracies)
 
 
+def _pairs(path, form: str):
+    """``(lineno, left, right)`` for each ``left,right`` line of a file,
+    skipping blank lines and ``#`` comments."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ParseError(path, lineno, f"expected {form!r}, got {line!r}")
+            yield lineno, parts[0], parts[1]
+
+
+def _field(path, lineno: int, text: str, convert, what: str):
+    """``convert(text)``, where ``convert`` is ``int`` or ``float``; a float
+    must be finite."""
+    try:
+        value = convert(text)
+    except ValueError:
+        raise ParseError(path, lineno, f"bad {what} {text!r}") from None
+    if convert is float and not math.isfinite(value):
+        raise ParseError(path, lineno, f"{what} {text!r} is not finite")
+    return value
+
+
 def load_spectrum(path) -> EnergySpectrum:
     """Read a spectrum file: one ``energy,degeneracy`` pair per line.
 
@@ -158,24 +184,7 @@ def load_spectrum(path) -> EnergySpectrum:
     """
     levels: list[float] = []
     degs: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(path, lineno, f"expected 'energy,degeneracy', got {line!r}")
-            try:
-                energy = float(parts[0])
-            except ValueError:
-                raise ParseError(path, lineno, f"bad energy {parts[0]!r}") from None
-            if not math.isfinite(energy):
-                raise ParseError(path, lineno, f"energy {parts[0]!r} is not finite")
-            try:
-                deg = int(parts[1])
-            except ValueError:
-                raise ParseError(path, lineno, f"bad degeneracy {parts[1]!r}") from None
-            levels.append(energy)
-            degs.append(deg)
+    for lineno, left, right in _pairs(path, "energy,degeneracy"):
+        levels.append(_field(path, lineno, left, float, "energy"))
+        degs.append(_field(path, lineno, right, int, "degeneracy"))
     return make_spectrum(levels, degs)

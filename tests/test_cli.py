@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -245,6 +246,59 @@ class TestConfigAndErrors:
     def test_missing_out(self):
         result = run_cli("map", "--q", "1", "--beta", "1", "--order", "2", check=False)
         assert result.returncode != 0
+
+
+class TestConfigValueTypes:
+    """A config value of the wrong type or a non-integral order ends with the
+    usual one-line ``ValueError``, exit 1 and no report, never a traceback or
+    a silently truncated run."""
+
+    @pytest.mark.parametrize("subcommand, values, flag", [
+        ("map", {"q": 0.98, "beta": 1.0, "order": 2.7}, "--order"),
+        ("map", {"q": 0.98, "beta": 1.0, "order": True}, "--order"),
+        ("equiv", {"spectrum": "s.csv", "q": 0.98, "beta": 1.0, "max_order": 3.5},
+         "--max-order"),
+        ("equiv", {"spectrum": "s.csv", "q": 0.98, "beta": 1.0, "max_order": False},
+         "--max-order"),
+        ("solve", {"spectrum": "s.csv", "targets": 5}, "--targets"),
+        ("solve", {"spectrum": "s.csv", "targets": [1.0, [2.0]]}, "--targets"),
+        ("map", {"q": [1], "beta": 1.0, "order": 2}, "--q"),
+        ("map", {"q": 0.98, "beta": True, "order": 2}, "--beta"),
+        ("dist-q", {"spectrum": ["s.csv"], "q": 0.98, "beta": 1.0}, "--spectrum"),
+    ])
+    def test_rejected_with_value_error(self, tmp_path, capsys, spectrum_file,
+                                       subcommand, values, flag):
+        values = {k: str(spectrum_file) if v == "s.csv" else v for k, v in values.items()}
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "x.csv"
+        assert main([subcommand, "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ValueError: {flag} must be ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_integral_float_order_accepted(self, tmp_path):
+        config = tmp_path / "run.json"
+        out = tmp_path / "map.csv"
+        config.write_text(json.dumps({"q": 0.98, "beta": 1.0, "order": 3.0}))
+        assert main(["map", "--config", str(config), "--out", str(out)]) == 0
+        meta, _, rows = parse_report(out)
+        assert meta["order"] == "3"
+        assert len(rows) == 3
+
+
+def test_import_loads_no_scipy():
+    """Every ``qbg`` process pays for what ``import qbg.cli`` loads; scipy is
+    left to the solver, which imports it when it runs."""
+    src = Path(__file__).parents[1] / "src"
+    code = ("import qbg, qbg.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 RECORDED = json.loads(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 from qbg import (
     CenteredMultiplierVector,
@@ -23,6 +24,7 @@ from qbg import (
     uncenter_multipliers,
 )
 from qbg.errors import LengthMismatch, NonFiniteExponent, OrderTooLarge, ParseError
+from qbg.extbg import _logsumexp
 
 from conftest import spectra
 
@@ -310,3 +312,55 @@ class TestLoadMultipliers:
         path.write_text("# nothing\n")
         with pytest.raises(ParseError):
             load_multipliers(path)
+
+
+class TestLogSumExpMatchesScipy:
+    """``_logsumexp`` must equal ``scipy.special.logsumexp`` bit for bit:
+    every partition sum and probability in the reports goes through it."""
+
+    @staticmethod
+    def check(a):
+        a = np.asarray(a, dtype=np.float64)
+        assert _logsumexp(a) == float(scipy_logsumexp(a))
+
+    @pytest.mark.parametrize("a", [
+        [0.0],
+        [-700.0],
+        [700.0],
+        [3.0, 3.0, 3.0, 3.0],
+        [-2.5] * 17,
+        [1.0, 1.0, 0.5, -0.25],
+        [0.0, -np.inf, -1.0],
+        [-np.inf, 2.0, -np.inf, 2.0],
+        [700.0, -700.0, 699.0],
+        [-700.0, -700.0 + 1e-13, -699.5],
+        [1e-300, -1e-300, 0.0],
+        # a plain max-shift sum differs from scipy in the last bit here
+        [-6.57, -1.03, -3.92, -0.69],
+        [0.08, -0.15, -1.22, -4.19],
+        # math.log1p differs from np.log1p in the last bit here
+        [2.89, 1.19, 3.47],
+        [0.36, -2.3, -9.99, -1.46],
+    ])
+    def test_explicit_cases(self, a):
+        self.check(a)
+
+    def test_large_arrays(self):
+        rng = np.random.default_rng(20071)
+        for scale in (1.0, 30.0, 700.0):
+            a = rng.normal(size=100_000) * scale
+            self.check(a)
+            a[rng.integers(0, a.size, 50)] = a.max()   # many ties
+            a[rng.integers(0, a.size, 500)] = -np.inf
+            self.check(a)
+
+    @settings(max_examples=500)
+    @given(st.lists(
+        st.one_of(
+            st.floats(-700.0, 700.0, allow_nan=False),
+            st.sampled_from([-np.inf, 0.0, 1.0, -3.5]),
+        ),
+        min_size=1, max_size=40,
+    ).filter(lambda xs: max(xs) > -np.inf))
+    def test_random_arrays(self, a):
+        self.check(a)

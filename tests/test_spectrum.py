@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from qbg import Distribution, make_spectrum, rescale, trace_of
+from qbg import Distribution, load_multipliers, make_spectrum, rescale, trace_of
 from qbg.errors import (
     EmptySpectrum,
     LengthMismatch,
@@ -199,3 +199,28 @@ class TestLoadSpectrum:
         path.write_text("# only a comment\n")
         with pytest.raises(EmptySpectrum):
             load_spectrum(path)
+
+
+class TestLineFileErrors:
+    """Both line-file loaders name the file, the line and the fault."""
+
+    @pytest.mark.parametrize("loader, text, line, message", [
+        (load_spectrum, "0,1\n1.0\n", 2, "expected 'energy,degeneracy', got '1.0'"),
+        (load_spectrum, "# c\n\nx,1\n", 3, "bad energy 'x'"),
+        (load_spectrum, "0,1\n-inf,2\n", 2, "energy '-inf' is not finite"),
+        (load_spectrum, "0,1.5\n", 1, "bad degeneracy '1.5'"),
+        (load_spectrum, "0,1,2\n", 1, "expected 'energy,degeneracy', got '0,1,2'"),
+        (load_multipliers, "1,0.5\n2\n", 2, "expected 'n,beta_n', got '2'"),
+        (load_multipliers, "#\na,0.5\n", 2, "bad order 'a'"),
+        (load_multipliers, "1,0.5\n3,0.1\n", 2, "orders must ascend from 1, got 3 after 1"),
+        (load_multipliers, "1,b\n", 1, "bad multiplier 'b'"),
+        (load_multipliers, "1, nan\n", 1, "multiplier ' nan' is not finite"),
+        (load_multipliers, "# none\n", 0, "no multipliers found"),
+    ])
+    def test_message_and_line(self, tmp_path, loader, text, line, message):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            loader(path)
+        assert exc.value.line_number == line
+        assert str(exc.value) == f"{path}:{line}: {message}"
