@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsideConvergenceDomain, ZeroLeadingMultiplier
-from .extbg import MultiplierVector, _normalize, _require_order, _terms
+from .extbg import MultiplierVector, _normalize, _require_order, _truncated_exponents
 from .qstat import QParams, q_distribution
 from .spectrum import EnergySpectrum
 
@@ -74,8 +74,11 @@ def multipliers_to_q(m: MultiplierVector, tol: float):
     remaining beta_n matches ``(1-q)**(n-1) * beta**n / n`` within ``tol``
     relative (absolute 1e-12 for predicted values below 1e-300); otherwise
     None.  A negative beta_1 also yields None, since a nonnegative inverse
-    temperature cannot reproduce it.
+    temperature cannot reproduce it.  A NaN ``tol`` raises ``ValueError``:
+    every comparison with it is false, so it would accept any vector.
     """
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
     b1 = m.coeffs[0]
     if b1 == 0:
         raise ZeroLeadingMultiplier("the first multiplier must be nonzero")
@@ -122,8 +125,10 @@ def equivalence_report(
     >= 1: there the truncated series is not guaranteed to approach the
     q-distribution and the distances would be noise.
 
-    The term matrix ``beta_n * E_i**n`` is built once at ``max_order``; the
-    order-N exponents are the sums of its first N columns.
+    The order-N exponents come from one pass over the spectrum's cached
+    powers, in the summation order of a fresh order-N
+    :func:`~qbg.extbg.ext_distribution`, so each distance is the one a
+    fresh evaluation gives.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -134,11 +139,9 @@ def equivalence_report(
             f"domain ratio {ratio} >= 1; the expansion does not converge on this spectrum"
         )
     exact, _ = q_distribution(spectrum, params)
-    terms = _terms(spectrum, q_to_multipliers(params, max_order))
     log_g = np.log(spectrum.degeneracies)
-    orders = tuple(range(1, max_order + 1))
     distances = []
-    for order in orders:
-        truncated, _ = _normalize(log_g - terms[:, :order].sum(axis=1))
+    for s in _truncated_exponents(spectrum, q_to_multipliers(params, max_order)):
+        truncated, _ = _normalize(log_g - s)
         distances.append(float(np.max(np.abs(truncated - exact.probs))))
-    return EquivalenceReport(orders, tuple(distances), ratio)
+    return EquivalenceReport(tuple(range(1, max_order + 1)), tuple(distances), ratio)

@@ -111,28 +111,113 @@ class ClaytonParams:
 
 
 def _power_matrix(spectrum: EnergySpectrum, order: int) -> np.ndarray:
-    return spectrum.levels[:, None] ** np.arange(1, order + 1)[None, :]
+    """``E_i**n`` for n = 1..order, shape (levels, order), C-contiguous and
+    read-only, from the spectrum's power cache.
 
-
-def _terms(spectrum: EnergySpectrum, m: MultiplierVector) -> np.ndarray:
-    """Per-level, per-order terms ``beta_n * E_i**n``, shape (levels, order).
-
-    Summing the first N columns gives the order-N exponents exactly as a
-    fresh order-N evaluation would, so one matrix serves every truncation.
+    A narrower order gets a contiguous copy of the cached columns: a matrix
+    product on a column slice of the wider matrix differs in the last bit
+    from the same product on a contiguous matrix.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = _power_matrix(spectrum, m.order)
-        terms *= np.asarray([float(c) for c in m.coeffs])
-    if not np.all(np.isfinite(terms)):
+    powers = spectrum._powers(order)
+    if powers.shape[1] == order:
+        return powers
+    return np.ascontiguousarray(powers[:, :order])
+
+
+def _pairwise(column, first: int, n: int) -> np.ndarray:
+    """Sum of ``column(first)``, ..., ``column(first + n - 1)`` in the order of
+    numpy's ``pairwise_sum``: left to right below 8 terms; up to 128 terms,
+    8 lanes (lane j adds terms j, j + 8, ... of the whole blocks of 8) joined
+    as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest left to right;
+    above 128, the two halves split at a multiple of 8.
+
+    numpy starts the short loop from 0.0, which can only turn a -0.0 into
+    0.0; callers add the row reduction's leading 0.0, which does the same."""
+    if n < 8:
+        acc = column(first)
+        for j in range(first + 1, first + n):
+            acc = acc + column(j)
+        return acc
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise(column, first, half) + _pairwise(column, first + half, n - half)
+    blocks = n - n % 8
+
+    def lane(j):
+        acc = column(first + j)
+        for k in range(first + j + 8, first + blocks, 8):
+            acc = acc + column(k)
+        return acc
+
+    # evaluated left to right, so at most a few vectors are live at once
+    acc = ((lane(0) + lane(1)) + (lane(2) + lane(3))) + (
+        (lane(4) + lane(5)) + (lane(6) + lane(7)))
+    for j in range(first + blocks, first + n):
+        acc = acc + column(j)
+    return acc
+
+
+def _prefix_sums(column, count: int):
+    """Yield ``column(1) + ... + column(N)`` for N = 1..count, each a new
+    array equal bit for bit to ``np.add.reduce(M[:, :N], axis=1)`` of the
+    C-ordered matrix M whose column n - 1 is ``column(n)``.
+
+    numpy reduces a row as ``0.0 + pairwise_sum(row)``.  Between the points
+    where the pairwise tree changes shape (N = 1, every multiple of 8, and
+    every N above 128) that is the sum for N - 1 plus column N, so a sweep
+    costs one column per order and holds only a few columns at once.
+    """
+    acc = None
+    for n in range(1, count + 1):
+        if n == 1 or n % 8 == 0 or n > 128:
+            acc = 0.0 + _pairwise(column, 1, n)
+        else:
+            acc = acc + column(n)
+        yield acc
+
+
+def _term_column(spectrum: EnergySpectrum, m: MultiplierVector):
+    """``column(n)``: the terms ``beta_n * E_i**n``, from the spectrum's cached
+    powers."""
+    powers = spectrum._powers(m.order)
+    coeffs = [float(c) for c in m.coeffs]
+    return lambda n: coeffs[n - 1] * powers[:, n - 1]
+
+
+def _checked(s: np.ndarray, column, order: int) -> np.ndarray:
+    """``s``, the sum of terms 1..order; raises :class:`NonFiniteExponent`
+    if one of those terms is not finite.  A non-finite term makes every sum
+    that holds it non-finite, so the terms are looked at only when ``s`` is
+    not finite: finite terms may still overflow in the sum."""
+    if not np.isfinite(s).all() and not all(
+        np.isfinite(column(n)).all() for n in range(1, order + 1)
+    ):
         raise NonFiniteExponent(
             "some beta_n * E**n is not finite; rescale the spectrum or multipliers"
         )
-    return terms
+    return s
+
+
+def _truncated_exponents(spectrum: EnergySpectrum, m: MultiplierVector):
+    """Yield the order-N exponents ``s_i = sum_{n<=N} beta_n * E_i**n`` for
+    N = 1..m.order, each bit for bit the :func:`_exponents` of the first N
+    multipliers."""
+    column = _term_column(spectrum, m)
+    sums = _prefix_sums(column, m.order)
+    for order in range(1, m.order + 1):
+        # next() computes the sum, so it runs inside the errstate: a term
+        # that overflows raises NonFiniteExponent instead of a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = _checked(next(sums), column, order)
+        yield s
 
 
 def _exponents(spectrum: EnergySpectrum, m: MultiplierVector) -> np.ndarray:
-    """Per-level exponents s_i = sum_n beta_n * E_i**n."""
-    return _terms(spectrum, m).sum(axis=1)
+    """Per-level exponents s_i = sum_n beta_n * E_i**n, summed as numpy sums
+    each row of the term matrix ``beta_n * E_i**n``."""
+    column = _term_column(spectrum, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _checked(0.0 + _pairwise(column, 1, m.order), column, m.order)
 
 
 def _logsumexp(a: np.ndarray) -> float:

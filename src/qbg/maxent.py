@@ -41,7 +41,6 @@ from .extbg import (
     _require_order,
     ext_distribution,
     log_partition,
-    raw_moments,
 )
 from .spectrum import EnergySpectrum, rescale
 
@@ -90,9 +89,8 @@ def dual_gradient(
         raise OrderMismatch(
             f"multiplier order {m.order} but target order {targets.order}"
         )
-    dist, _ = ext_distribution(spectrum, m)
-    mu = raw_moments(dist, spectrum, m.order)
-    return np.asarray(mu.values) - np.asarray(targets.values)
+    _, _, mu, _ = _dual_state(spectrum, m)
+    return mu - np.asarray(targets.values)
 
 
 def dual_hessian(
@@ -102,12 +100,18 @@ def dual_hessian(
     symmetric positive semidefinite, equals the Hessian of F."""
     if order != m.order:
         raise OrderMismatch(f"multiplier order {m.order} but requested {order}")
-    dist, _ = ext_distribution(spectrum, m)
+    return _dual_state(spectrum, m)[3]
+
+
+def _dual_state(spectrum: EnergySpectrum, m: MultiplierVector):
+    """``(log Z, p, mu, H)`` at multipliers ``m``: log-partition, per-level
+    probabilities, raw moments ``mu_n = <E**n>`` and the covariance Hessian,
+    from the spectrum's cached powers."""
+    dist, log_z = ext_distribution(spectrum, m)
     p = dist.probs
-    pw = _power_matrix(spectrum, order)
+    pw = _power_matrix(spectrum, m.order)
     mu = p @ pw
-    second = pw.T @ (p[:, None] * pw)
-    return second - np.outer(mu, mu)
+    return log_z, p, mu, pw.T @ (p[:, None] * pw) - np.outer(mu, mu)
 
 
 def _newton_direction(h: np.ndarray, residual: np.ndarray, ridge_floor: float):
@@ -170,8 +174,6 @@ def solve_multipliers(
     powers_of_scale = scale ** np.arange(1, n_order + 1)
     t_scaled = mu_t / powers_of_scale
 
-    pw = _power_matrix(scaled, n_order)
-
     def back_transform(b: np.ndarray) -> MultiplierVector:
         return MultiplierVector(tuple(b / powers_of_scale))
 
@@ -179,9 +181,7 @@ def solve_multipliers(
     iterations = 0
     final_step = 0.0
     while True:
-        dist, log_z = ext_distribution(scaled, MultiplierVector(tuple(b)))
-        p = dist.probs
-        mu = p @ pw
+        log_z, _, mu, h = _dual_state(scaled, MultiplierVector(tuple(b)))
         residual = mu - t_scaled
         residual_norm = float(np.max(np.abs(residual)))
         dual_value = log_z + float(b @ t_scaled)
@@ -199,7 +199,6 @@ def solve_multipliers(
             _fail(back_transform(b), iterations, residual_norm, final_step, scale,
                   "iteration budget exhausted")
 
-        h = pw.T @ (p[:, None] * pw) - np.outer(mu, mu)
         direction = _newton_direction(h, residual, opts.ridge)
         if direction is None:
             _fail(back_transform(b), iterations, residual_norm, final_step, scale,

@@ -7,9 +7,15 @@ degeneracy already folded in, so ``P_i`` is the total probability of level i.
 
 ``EnergySpectrum.levels`` is a float64 array, ``EnergySpectrum.degeneracies``
 an int64 array and ``Distribution.probs`` a float64 array.  Each is a private,
-read-only copy made at construction (writing into one raises ``ValueError``),
-so all values are immutable and all operations are pure functions, safe for
-unrestricted concurrent use.
+read-only copy made at construction (writing into one raises ``ValueError``).
+
+A spectrum also holds one private cache: the read-only power matrix
+``E_i**n``, n = 1..k, filled on first use and widened when a higher order is
+asked for.  It costs 8 * levels * k bytes for the widest order k used on that
+spectrum.  Its values follow from the levels alone, so it never goes stale;
+threads that fill it at once may each compute it, and every caller gets at
+least the columns it asked for.  Every operation is a pure function, safe
+for concurrent use.
 """
 
 from __future__ import annotations
@@ -82,6 +88,20 @@ class EnergySpectrum:
             raise NonPositiveDegeneracy("every degeneracy must be >= 1")
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "degeneracies", degs)
+        object.__setattr__(self, "_power_cache", None)
+
+    def _powers(self, order: int) -> np.ndarray:
+        """Read-only ``levels[i] ** n`` in column n - 1, for n = 1..k with
+        k >= ``order``, shape (levels, k); cached, widest order kept."""
+        powers = self._power_cache
+        if powers is None or powers.shape[1] < order:
+            # only this broadcast form: np.power(levels, 2.0) takes a square
+            # fast path that differs from pow in the last bit
+            with np.errstate(over="ignore"):
+                powers = self.levels[:, None] ** np.arange(1, order + 1)[None, :]
+            powers.flags.writeable = False
+            object.__setattr__(self, "_power_cache", powers)
+        return powers
 
     def __eq__(self, other):
         if not isinstance(other, EnergySpectrum):

@@ -73,6 +73,16 @@ class TestMultipliersToQ:
     def test_negative_leading_multiplier_gives_no_value(self):
         assert multipliers_to_q(MultiplierVector((-1.0, 0.01)), 1e-9) is None
 
+    def test_nan_tol_rejected(self):
+        # every comparison with NaN is false: beta_3 = 5 would be accepted
+        with pytest.raises(ValueError, match="NaN"):
+            multipliers_to_q(MultiplierVector((1.0, 0.01, 5.0)), float("nan"))
+
+    def test_negative_tol_gives_no_value(self):
+        assert multipliers_to_q(MultiplierVector((1.0, 0.01, 5.0)), -1.0) is None
+        consistent = q_to_multipliers(QParams(0.98, 1.0), 3)
+        assert multipliers_to_q(consistent, -1e-9) is None
+
     def test_single_coefficient_is_boltzmann(self):
         assert multipliers_to_q(MultiplierVector((0.5,)), 1e-9) == QParams(1.0, 0.5)
 
@@ -170,6 +180,20 @@ class TestEquivalenceReport:
         for order, distance in zip(report.orders, report.sup_distances):
             truncated, _ = ext_distribution(s, q_to_multipliers(params, order))
             assert distance == float(np.max(np.abs(truncated.probs - exact.probs)))
+
+    def test_order_20_sweep_matches_ext_distribution_on_large_spectrum(self):
+        # every order 1..20, so the sweep runs through the 8-lane and the
+        # 16-column pairwise summation on a 12000-level spectrum
+        rng = np.random.default_rng(12000)
+        levels = np.linspace(-2.0, 8.0, 12_000)
+        s = make_spectrum(levels, rng.integers(1, 5, levels.size))
+        for params in (QParams(0.98, 1.0), QParams(1.03, 1.5)):
+            report = equivalence_report(s, params, 20)
+            exact, _ = q_distribution(s, params)
+            assert report.orders == tuple(range(1, 21))
+            for order, distance in zip(report.orders, report.sup_distances):
+                truncated, _ = ext_distribution(s, q_to_multipliers(params, order))
+                assert distance == float(np.max(np.abs(truncated.probs - exact.probs)))
 
     def test_geometric_decay_envelope(self):
         """Distances fall like r^(N+1)/(N+1).

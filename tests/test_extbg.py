@@ -24,7 +24,7 @@ from qbg import (
     uncenter_multipliers,
 )
 from qbg.errors import LengthMismatch, NonFiniteExponent, OrderTooLarge, ParseError
-from qbg.extbg import _logsumexp
+from qbg.extbg import _exponents, _logsumexp, _power_matrix, _prefix_sums, _truncated_exponents
 
 from conftest import spectra
 
@@ -364,3 +364,81 @@ class TestLogSumExpMatchesScipy:
     ).filter(lambda xs: max(xs) > -np.inf))
     def test_random_arrays(self, a):
         self.check(a)
+
+
+def bits(a):
+    """The float64 bit patterns of ``a``, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestPrefixSumsMatchNumpy:
+    """The exponent kernel adds columns in numpy's row-sum order.  The sweep
+    and ``ext_distribution`` share the kernel, so numpy's own reduction is the
+    independent reference; a change to numpy's order fails here."""
+
+    @staticmethod
+    def matrix(rng, rows, cols):
+        m = rng.choice([-1.0, 1.0], (rows, cols)) * 10.0 ** rng.uniform(-8, 8, (rows, cols))
+        zeros = rng.random((rows, cols)) < 0.1
+        m[zeros] = rng.choice([-0.0, 0.0], int(zeros.sum()))
+        m[0] = -0.0
+        m[1, ::2] = -0.0
+        m[2] = 0.0
+        return m
+
+    def test_orders_1_to_20_contiguous_and_strided(self):
+        rng = np.random.default_rng(2007)
+        wide = self.matrix(rng, 3000, 20)
+        rows = self.matrix(rng, 6000, 20)[::2]
+        for m in (wide, rows):
+            sums = _prefix_sums(lambda n: m[:, n - 1], 20)
+            for n, s in enumerate(sums, start=1):
+                for view in (np.ascontiguousarray(m[:, :n]), m[:, :n]):
+                    assert np.array_equal(bits(s), bits(np.add.reduce(view, axis=1)))
+
+    def test_rows_longer_than_one_pairwise_block(self):
+        # above 128 columns numpy splits the row in two halves
+        m = self.matrix(np.random.default_rng(128), 40, 300)
+        for n, s in enumerate(_prefix_sums(lambda k: m[:, k - 1], 300), start=1):
+            assert np.array_equal(bits(s), bits(m[:, :n].sum(axis=1)))
+
+    def test_exponents_match_term_matrix_row_sums(self):
+        rng = np.random.default_rng(41)
+        levels = np.linspace(-2.0, 8.0, 10_001)   # holds E = 0
+        s = make_spectrum(levels, rng.integers(1, 5, levels.size))
+        for coeffs in [rng.uniform(-1.0, 1.0, 20) / 8.0 ** np.arange(1, 21),
+                       # all negative: every term at E = 0 is -0.0
+                       -rng.uniform(0.5, 1.0, 20) / 8.0 ** np.arange(1, 21)]:
+            terms = levels[:, None] ** np.arange(1, 21)[None, :] * coeffs
+            sweep = _truncated_exponents(s, MultiplierVector(tuple(coeffs)))
+            for n, swept in enumerate(sweep, start=1):
+                expected = bits(terms[:, :n].sum(axis=1))
+                assert np.array_equal(bits(swept), expected)
+                fresh = _exponents(s, MultiplierVector(tuple(coeffs[:n])))
+                assert np.array_equal(bits(fresh), expected)
+
+    def test_nonfinite_term_rejected_at_its_order(self):
+        s = make_spectrum([0.0, 1e200], [1, 1])
+        sweep = _truncated_exponents(s, MultiplierVector((1.0, 1.0)))
+        assert tuple(next(sweep)) == (0.0, 1e200)
+        with pytest.raises(NonFiniteExponent):
+            next(sweep)
+
+    def test_finite_terms_overflowing_in_the_sum_are_allowed(self):
+        # only a non-finite term is an error; an infinite exponent is a zero weight
+        s = make_spectrum([0.0, 1.0], [1, 1])
+        m = MultiplierVector((1.7e308, 1.7e308))
+        assert tuple(_exponents(s, m)) == (0.0, np.inf)
+        assert log_partition(s, m) == 0.0
+
+
+class TestPowerMatrix:
+    def test_contiguous_at_every_order(self):
+        s = make_spectrum([-1.5, 0.0, 0.3, 2.0], [1, 2, 1, 1])
+        full = s._powers(9)
+        for order in (9, 4, 1):
+            pw = _power_matrix(s, order)
+            assert pw.shape == (4, order)
+            assert pw.flags.c_contiguous
+            assert np.array_equal(bits(pw), bits(full[:, :order]))
+        assert _power_matrix(s, 9) is full

@@ -1,10 +1,25 @@
+import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given
 
-from qbg import Distribution, load_multipliers, make_spectrum, rescale, trace_of
+from qbg import (
+    Distribution,
+    MultiplierVector,
+    QParams,
+    dual_hessian,
+    equivalence_report,
+    ext_distribution,
+    load_multipliers,
+    make_spectrum,
+    raw_moments,
+    rescale,
+    trace_of,
+)
 from qbg.errors import (
     EmptySpectrum,
     LengthMismatch,
@@ -158,6 +173,96 @@ class TestReadOnlyArrays:
         s = make_spectrum(levels, [1, 1])
         levels[0] = -1.0
         assert tuple(s.levels) == (0.0, 1.0)
+
+
+class TestPowerCache:
+    def test_read_only_and_equal_to_broadcast_pow(self):
+        s = make_spectrum([-1.5, -0.1, 0.0, 0.3, 2.0, 7.25], [1, 2, 1, 1, 3, 1])
+        powers = s._powers(5)
+        assert not powers.flags.writeable
+        with pytest.raises(ValueError):
+            powers[0, 0] = 1.0
+        expected = s.levels[:, None] ** np.arange(1, 6)[None, :]
+        assert powers.shape == (6, 5)
+        assert powers.tobytes() == expected.tobytes()
+
+    def test_second_call_returns_the_same_array(self):
+        s = make_spectrum([0.0, 0.5, 2.0], [1, 1, 1])
+        powers = s._powers(4)
+        assert s._powers(4) is powers
+        assert s._powers(2) is powers
+
+    def test_wider_order_rebuilds_with_equal_columns(self):
+        s = make_spectrum(np.linspace(-3.0, 3.0, 50), [1] * 50)
+        narrow = s._powers(3)
+        wide = s._powers(20)
+        assert wide.shape == (50, 20)
+        assert s._powers(7) is wide
+        assert np.ascontiguousarray(wide[:, :3]).tobytes() == narrow.tobytes()
+
+    def test_eq_and_repr_unchanged(self):
+        s = make_spectrum([0.0, 1.0, 2.5], [1, 2, 1])
+        fresh = make_spectrum([0.0, 1.0, 2.5], [1, 2, 1])
+        before = repr(s)
+        s._powers(12)
+        assert repr(s) == before == repr(fresh)
+        assert s == fresh and fresh == s
+        assert s != make_spectrum([0.0, 1.0, 2.5], [1, 1, 1])
+        assert [f.name for f in dataclasses.fields(s)] == ["levels", "degeneracies"]
+
+    def test_concurrent_fills_return_full_correct_arrays(self):
+        # threads race to fill and widen the same caches; each call must
+        # still get at least the columns it asked for, with correct values
+        spectra_ = [make_spectrum(np.linspace(-1.0, 1.0, 300) + k, [1] * 300)
+                    for k in range(40)]
+        expected = [sp.levels[:, None] ** np.arange(1, 21)[None, :] for sp in spectra_]
+        failures = []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(3):
+                for sp, full in zip(spectra_, expected):
+                    order = int(rng.integers(1, 21))
+                    powers = sp._powers(order)
+                    width = powers.shape[1]
+                    if width < order or not np.array_equal(powers, full[:, :width]):
+                        failures.append((order, width))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
+    def test_results_after_filling_order_20_equal_a_fresh_spectrum(self):
+        # matrix products on a column slice of the wider cache differ in the
+        # last bit from products on a contiguous matrix
+        rng = np.random.default_rng(20)
+        for _ in range(12):
+            levels = np.unique(rng.uniform(-1.0, 1.0, int(rng.integers(40, 400))))
+            degs = rng.integers(1, 5, levels.size)
+            filled = make_spectrum(levels, degs)
+            filled._powers(20)
+
+            def fresh():
+                return make_spectrum(levels, degs)
+
+            for order in (3, 12):
+                m = MultiplierVector(tuple(rng.uniform(-1.0, 1.0, order)))
+                dist, _ = ext_distribution(fresh(), m)
+                assert raw_moments(dist, filled, order) == raw_moments(dist, fresh(), order)
+                assert (dual_hessian(filled, m, order).tobytes()
+                        == dual_hessian(fresh(), m, order).tobytes())
+                params = QParams(float(1.0 - rng.uniform(-0.5, 0.5)), 1.0)
+                assert (equivalence_report(filled, params, order)
+                        == equivalence_report(fresh(), params, order))
 
 
 class TestLoadSpectrum:
