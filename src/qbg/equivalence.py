@@ -128,7 +128,8 @@ def equivalence_report(
     The order-N exponents come from one pass over the spectrum's cached
     powers, in the summation order of a fresh order-N
     :func:`~qbg.extbg.ext_distribution`, so each distance is the one a
-    fresh evaluation gives.
+    fresh evaluation gives.  The sweep, the normalisation and the distance
+    run in place in a few level-sized arrays that live for this call only.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -140,8 +141,13 @@ def equivalence_report(
         )
     exact, _ = q_distribution(spectrum, params)
     log_g = np.log(spectrum.degeneracies)
+    log_w = np.empty(len(spectrum))
+    probs = np.empty(len(spectrum))
     distances = []
-    for s in _truncated_exponents(spectrum, q_to_multipliers(params, max_order)):
-        truncated, _ = _normalize(log_g - s)
-        distances.append(float(np.max(np.abs(truncated - exact.probs))))
+    # one errstate for the whole sweep, which needs it (see _truncated_exponents)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in _truncated_exponents(spectrum, q_to_multipliers(params, max_order)):
+            _normalize(np.subtract(log_g, s, out=log_w), probs)
+            np.subtract(probs, exact.probs, out=probs)
+            distances.append(float(np.abs(probs, out=probs).max()))
     return EquivalenceReport(tuple(range(1, max_order + 1)), tuple(distances), ratio)

@@ -111,77 +111,110 @@ class ClaytonParams:
 
 
 def _power_matrix(spectrum: EnergySpectrum, order: int) -> np.ndarray:
-    """``E_i**n`` for n = 1..order, shape (levels, order), C-contiguous and
-    read-only, from the spectrum's power cache.
+    """``E_i**n`` for n = 1..order, shape (levels, order): a C-contiguous
+    copy of the first ``order`` rows of the spectrum's power cache.
 
-    A narrower order gets a contiguous copy of the cached columns: a matrix
-    product on a column slice of the wider matrix differs in the last bit
-    from the same product on a contiguous matrix.
+    Matrix products take this copy: the same product on the transposed
+    rows, or on a column slice of a wider matrix, differs in the last bit.
     """
-    powers = spectrum._powers(order)
-    if powers.shape[1] == order:
-        return powers
-    return np.ascontiguousarray(powers[:, :order])
+    return np.ascontiguousarray(spectrum._powers(order)[:order].T)
 
 
-def _pairwise(column, first: int, n: int) -> np.ndarray:
-    """Sum of ``column(first)``, ..., ``column(first + n - 1)`` in the order of
-    numpy's ``pairwise_sum``: left to right below 8 terms; up to 128 terms,
-    8 lanes (lane j adds terms j, j + 8, ... of the whole blocks of 8) joined
-    as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest left to right;
-    above 128, the two halves split at a multiple of 8.
+def _spares(size: int, n: int) -> list:
+    """The spare buffers :func:`_pairwise` needs to sum ``n`` columns of
+    ``size`` entries: one scratch below 8 terms, four up to 128, one more per
+    split above 128."""
+    count = 1 if n < 8 else 4
+    while n > 128:
+        n -= n // 2 - (n // 2) % 8
+        count += 1
+    return [np.empty(size) for _ in range(count)]
+
+
+def _pairwise(column, first: int, n: int, out: np.ndarray, spare: list) -> np.ndarray:
+    """Write the sum of terms ``first``, ..., ``first + n - 1`` into ``out``,
+    in the order of numpy's ``pairwise_sum``: left to right below 8 terms;
+    up to 128 terms, 8 lanes (lane j adds terms j, j + 8, ... of the whole
+    blocks of 8) joined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    rest left to right; above 128, the two halves split at a multiple of 8.
+
+    ``column(j, buf)`` writes term j into ``buf``.  ``spare`` holds the
+    buffers of :func:`_spares`, which are overwritten.
 
     numpy starts the short loop from 0.0, which can only turn a -0.0 into
     0.0; callers add the row reduction's leading 0.0, which does the same."""
+    scratch = spare[0]
     if n < 8:
-        acc = column(first)
+        column(first, out)
         for j in range(first + 1, first + n):
-            acc = acc + column(j)
-        return acc
+            np.add(out, column(j, scratch), out=out)
+        return out
     if n > 128:
         half = n // 2 - (n // 2) % 8
-        return _pairwise(column, first, half) + _pairwise(column, first + half, n - half)
+        _pairwise(column, first, half, out, spare)
+        second = _pairwise(column, first + half, n - half, scratch, spare[1:])
+        return np.add(out, second, out=out)
+    b1, b2, b3 = spare[1:4]
     blocks = n - n % 8
 
-    def lane(j):
-        acc = column(first + j)
+    def lane(j, buf):
+        column(first + j, buf)
         for k in range(first + j + 8, first + blocks, 8):
-            acc = acc + column(k)
-        return acc
+            np.add(buf, column(k, scratch), out=buf)
+        return buf
 
-    # evaluated left to right, so at most a few vectors are live at once
-    acc = ((lane(0) + lane(1)) + (lane(2) + lane(3))) + (
-        (lane(4) + lane(5)) + (lane(6) + lane(7)))
+    np.add(lane(0, out), lane(1, b1), out=out)
+    np.add(lane(2, b1), lane(3, b2), out=b1)
+    np.add(out, b1, out=out)
+    np.add(lane(4, b1), lane(5, b2), out=b1)
+    np.add(lane(6, b2), lane(7, b3), out=b2)
+    np.add(b1, b2, out=b1)
+    np.add(out, b1, out=out)
     for j in range(first + blocks, first + n):
-        acc = acc + column(j)
-    return acc
+        np.add(out, column(j, scratch), out=out)
+    return out
 
 
-def _prefix_sums(column, count: int):
-    """Yield ``column(1) + ... + column(N)`` for N = 1..count, each a new
-    array equal bit for bit to ``np.add.reduce(M[:, :N], axis=1)`` of the
-    C-ordered matrix M whose column n - 1 is ``column(n)``.
+def _prefix_sums(column, count: int, size: int):
+    """Yield the sum of terms 1..N for N = 1..count, equal bit for bit to
+    ``np.add.reduce(M[:, :N], axis=1)`` of the C-ordered matrix M whose
+    column n - 1 holds term n; ``column(n, buf)`` writes term n, ``size``
+    entries, into ``buf``.  Every yield is the same array, overwritten by
+    the next order's sum.
 
     numpy reduces a row as ``0.0 + pairwise_sum(row)``.  Between the points
     where the pairwise tree changes shape (N = 1, every multiple of 8, and
-    every N above 128) that is the sum for N - 1 plus column N, so a sweep
-    costs one column per order and holds only a few columns at once.
+    every N above 128) that is the sum for N - 1 plus term N, so a sweep
+    costs one column per order and works in a few buffers of ``size``.
     """
-    acc = None
+    acc = np.empty(size)
+    spare = _spares(size, count)
     for n in range(1, count + 1):
         if n == 1 or n % 8 == 0 or n > 128:
-            acc = 0.0 + _pairwise(column, 1, n)
+            _pairwise(column, 1, n, acc, spare)
+            np.add(0.0, acc, out=acc)
         else:
-            acc = acc + column(n)
+            np.add(acc, column(n, spare[0]), out=acc)
         yield acc
 
 
 def _term_column(spectrum: EnergySpectrum, m: MultiplierVector):
-    """``column(n)``: the terms ``beta_n * E_i**n``, from the spectrum's cached
-    powers."""
+    """``column(n, buf)``: writes the terms ``beta_n * E_i**n`` into ``buf``
+    and returns it, from the spectrum's cached powers.  A zero beta_n gives
+    exact +0.0 terms, also where E_i**n overflowed (``0.0 * inf`` is NaN);
+    every sum then has the bits it would have with the terms ``0.0 * E_i**n``,
+    as the leading 0.0 of the row reduction clears the sign of a zero."""
     powers = spectrum._powers(m.order)
     coeffs = [float(c) for c in m.coeffs]
-    return lambda n: coeffs[n - 1] * powers[:, n - 1]
+
+    def column(n, buf):
+        c = coeffs[n - 1]
+        if c == 0.0:
+            buf.fill(0.0)
+            return buf
+        return np.multiply(c, powers[n - 1], out=buf)
+
+    return column
 
 
 def _checked(s: np.ndarray, column, order: int) -> np.ndarray:
@@ -189,56 +222,66 @@ def _checked(s: np.ndarray, column, order: int) -> np.ndarray:
     if one of those terms is not finite.  A non-finite term makes every sum
     that holds it non-finite, so the terms are looked at only when ``s`` is
     not finite: finite terms may still overflow in the sum."""
-    if not np.isfinite(s).all() and not all(
-        np.isfinite(column(n)).all() for n in range(1, order + 1)
-    ):
-        raise NonFiniteExponent(
-            "some beta_n * E**n is not finite; rescale the spectrum or multipliers"
-        )
+    if not np.isfinite(s).all():
+        term = np.empty_like(s)
+        if not all(np.isfinite(column(n, term)).all() for n in range(1, order + 1)):
+            raise NonFiniteExponent(
+                "some beta_n * E**n is not finite; rescale the spectrum or multipliers"
+            )
     return s
 
 
 def _truncated_exponents(spectrum: EnergySpectrum, m: MultiplierVector):
     """Yield the order-N exponents ``s_i = sum_{n<=N} beta_n * E_i**n`` for
     N = 1..m.order, each bit for bit the :func:`_exponents` of the first N
-    multipliers."""
+    multipliers.  Every yield is the same array, overwritten by the next
+    order.
+
+    Consume it under ``np.errstate(over="ignore", invalid="ignore")``, as
+    :func:`_exponents` runs: a term that overflows then raises
+    :class:`NonFiniteExponent` without a warning first."""
     column = _term_column(spectrum, m)
-    sums = _prefix_sums(column, m.order)
-    for order in range(1, m.order + 1):
-        # next() computes the sum, so it runs inside the errstate: a term
-        # that overflows raises NonFiniteExponent instead of a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = _checked(next(sums), column, order)
-        yield s
+    sums = _prefix_sums(column, m.order, len(spectrum))
+    for order, s in enumerate(sums, start=1):
+        yield _checked(s, column, order)
 
 
 def _exponents(spectrum: EnergySpectrum, m: MultiplierVector) -> np.ndarray:
     """Per-level exponents s_i = sum_n beta_n * E_i**n, summed as numpy sums
     each row of the term matrix ``beta_n * E_i**n``."""
     column = _term_column(spectrum, m)
+    s = np.empty(len(spectrum))
     with np.errstate(over="ignore", invalid="ignore"):
-        return _checked(0.0 + _pairwise(column, 1, m.order), column, m.order)
+        _pairwise(column, 1, m.order, s, _spares(s.size, m.order))
+        return _checked(np.add(0.0, s, out=s), column, m.order)
 
 
-def _logsumexp(a: np.ndarray) -> float:
+def _logsumexp(a: np.ndarray, work: np.ndarray | None = None) -> float:
     """``log sum_i exp(a_i)`` of a 1-D float64 array with a finite maximum,
     bit for bit as ``scipy.special.logsumexp`` (1.17): the m entries tied at
-    the maximum give ``log1p(s / m) + log(m) + max``, s the others' sum."""
+    the maximum give ``log1p(s / m) + log(m) + max``, s the others' sum.
+    ``work``, a float64 array shaped like ``a`` other than ``a``, is
+    overwritten as scratch; without it one is allocated."""
     a_max = a.max(keepdims=True)
     ties = a == a_max
     m = ties.sum(keepdims=True, dtype=np.float64)
-    s = np.exp(np.where(ties, -np.inf, a) - a_max).sum(keepdims=True)
+    work = np.subtract(a, a_max, out=work)
+    np.copyto(work, -np.inf, where=ties)
+    s = np.exp(work, out=work).sum(keepdims=True)
     if s[0] != 0:
         s = s / m
     # np.log1p, not math.log1p: they differ in the last bit for some s
     return float((np.log1p(s) + np.log(m) + a_max)[0])
 
 
-def _normalize(a: np.ndarray) -> tuple[np.ndarray, float]:
+def _normalize(a: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Probabilities ``exp(a_i - log Z)`` and ``log Z = log sum_i exp(a_i)``
-    from per-level log weights ``a`` (``-inf`` marks a zero weight)."""
-    log_z = _logsumexp(a)
-    return np.exp(a - log_z), log_z
+    from per-level log weights ``a`` (``-inf`` marks a zero weight).  The
+    probabilities go into ``out`` if given (a float64 array shaped like
+    ``a``, other than ``a``), else into a new array."""
+    log_z = _logsumexp(a, out)
+    probs = np.subtract(a, log_z, out=out)
+    return np.exp(probs, out=probs), log_z
 
 
 def log_partition(spectrum: EnergySpectrum, m: MultiplierVector) -> float:

@@ -89,7 +89,7 @@ def dual_gradient(
         raise OrderMismatch(
             f"multiplier order {m.order} but target order {targets.order}"
         )
-    _, _, mu, _ = _dual_state(spectrum, m)
+    _, _, mu, _ = _dual_state(spectrum, m, _power_matrix(spectrum, m.order))
     return mu - np.asarray(targets.values)
 
 
@@ -100,16 +100,15 @@ def dual_hessian(
     symmetric positive semidefinite, equals the Hessian of F."""
     if order != m.order:
         raise OrderMismatch(f"multiplier order {m.order} but requested {order}")
-    return _dual_state(spectrum, m)[3]
+    return _dual_state(spectrum, m, _power_matrix(spectrum, order))[3]
 
 
-def _dual_state(spectrum: EnergySpectrum, m: MultiplierVector):
+def _dual_state(spectrum: EnergySpectrum, m: MultiplierVector, pw: np.ndarray):
     """``(log Z, p, mu, H)`` at multipliers ``m``: log-partition, per-level
-    probabilities, raw moments ``mu_n = <E**n>`` and the covariance Hessian,
-    from the spectrum's cached powers."""
+    probabilities, raw moments ``mu_n = <E**n>`` and the covariance Hessian;
+    ``pw`` is ``_power_matrix(spectrum, m.order)``."""
     dist, log_z = ext_distribution(spectrum, m)
     p = dist.probs
-    pw = _power_matrix(spectrum, m.order)
     mu = p @ pw
     return log_z, p, mu, pw.T @ (p[:, None] * pw) - np.outer(mu, mu)
 
@@ -177,11 +176,12 @@ def solve_multipliers(
     def back_transform(b: np.ndarray) -> MultiplierVector:
         return MultiplierVector(tuple(b / powers_of_scale))
 
+    pw = _power_matrix(scaled, n_order)
     b = np.zeros(n_order)
     iterations = 0
     final_step = 0.0
     while True:
-        log_z, _, mu, h = _dual_state(scaled, MultiplierVector(tuple(b)))
+        log_z, _, mu, h = _dual_state(scaled, MultiplierVector(tuple(b)), pw)
         residual = mu - t_scaled
         residual_norm = float(np.max(np.abs(residual)))
         dual_value = log_z + float(b @ t_scaled)

@@ -98,11 +98,14 @@ def q_distribution(
                 f"every level of the spectrum is cut off at q={params.q}, beta={params.beta}"
             )
         log_w = np.full(len(e), -np.inf)
-        # math.log1p, not np.log1p: the two differ in the last bit for some u
+        # math.log1p, not np.log1p: the two differ in the last bit for some u;
+        # a memoryview hands it Python floats without building a list
         log_w[active] = np.fromiter(
-            map(math.log1p, u[active].tolist()), np.float64, n_active
+            map(math.log1p, memoryview(u[active])), np.float64, n_active
         ) / (1.0 - q)
-    probs, log_z = _normalize(np.log(spectrum.degeneracies) + log_w)
+    a = np.log(spectrum.degeneracies)
+    a += log_w
+    probs, log_z = _normalize(a, log_w)
     return Distribution(probs), log_z
 
 

@@ -10,11 +10,12 @@ an int64 array and ``Distribution.probs`` a float64 array.  Each is a private,
 read-only copy made at construction (writing into one raises ``ValueError``).
 
 A spectrum also holds one private cache: the read-only power matrix
-``E_i**n``, n = 1..k, filled on first use and widened when a higher order is
-asked for.  It costs 8 * levels * k bytes for the widest order k used on that
-spectrum.  Its values follow from the levels alone, so it never goes stale;
-threads that fill it at once may each compute it, and every caller gets at
-least the columns it asked for.  Every operation is a pure function, safe
+``E_i**n``, n = 1..k, one contiguous row per power (shape (k, levels)),
+filled on first use and widened when a higher order is asked for.  It costs
+8 * levels * k bytes for the widest order k used on that spectrum.  Its
+values follow from the levels alone, so it never goes stale; threads that
+fill it at once may each compute it, and every caller gets at least the
+rows it asked for.  Every operation is a pure function, safe
 for concurrent use.
 """
 
@@ -91,14 +92,20 @@ class EnergySpectrum:
         object.__setattr__(self, "_power_cache", None)
 
     def _powers(self, order: int) -> np.ndarray:
-        """Read-only ``levels[i] ** n`` in column n - 1, for n = 1..k with
-        k >= ``order``, shape (levels, k); cached, widest order kept."""
+        """Read-only ``levels ** n`` in row n - 1, for n = 1..k with
+        k >= ``order``, shape (k, levels) and C-ordered, so each power is one
+        contiguous row; cached, widest order kept."""
         powers = self._power_cache
-        if powers is None or powers.shape[1] < order:
-            # only this broadcast form: np.power(levels, 2.0) takes a square
-            # fast path that differs from pow in the last bit
+        if powers is None or powers.shape[0] < order:
+            levels = self.levels
+            powers = np.empty((order, levels.size))
+            exponent = np.empty(levels.size)
             with np.errstate(over="ignore"):
-                powers = self.levels[:, None] ** np.arange(1, order + 1)[None, :]
+                for n, row in enumerate(powers, start=1):
+                    # an exponent array, not the scalar n: numpy squares a
+                    # scalar exponent 2, which differs from pow in the last bit
+                    exponent.fill(n)
+                    np.power(levels, exponent, out=row)
             powers.flags.writeable = False
             object.__setattr__(self, "_power_cache", powers)
         return powers

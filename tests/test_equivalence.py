@@ -147,6 +147,13 @@ class TestEquivalenceReport:
         report = equivalence_report(s, QParams(1.0, 1.3), 5)
         assert all(d <= 1e-15 for d in report.sup_distances)
 
+    def test_zero_multipliers_on_overflowing_powers(self):
+        # at q = 1 every beta_n with n >= 2 is an exact 0.0, and 1e30**n
+        # overflows from n = 11
+        report = equivalence_report(make_spectrum([0.0, 1e30], [1, 1]), QParams(1.0, 1e-31), 12)
+        assert report.domain_ratio == 0.0
+        assert report.sup_distances == (0.0,) * 12
+
     def test_distances_shrink_inside_domain(self):
         s = make_spectrum(list(range(6)), [1] * 6)
         report = equivalence_report(s, QParams(0.98, 1.0), 12)

@@ -386,12 +386,20 @@ class TestPrefixSumsMatchNumpy:
         m[2] = 0.0
         return m
 
+    @staticmethod
+    def columns(m):
+        """``column(n, buf)`` writing column n - 1 of ``m`` into ``buf``."""
+        def column(n, buf):
+            buf[...] = m[:, n - 1]
+            return buf
+        return column
+
     def test_orders_1_to_20_contiguous_and_strided(self):
         rng = np.random.default_rng(2007)
         wide = self.matrix(rng, 3000, 20)
         rows = self.matrix(rng, 6000, 20)[::2]
         for m in (wide, rows):
-            sums = _prefix_sums(lambda n: m[:, n - 1], 20)
+            sums = _prefix_sums(self.columns(m), 20, m.shape[0])
             for n, s in enumerate(sums, start=1):
                 for view in (np.ascontiguousarray(m[:, :n]), m[:, :n]):
                     assert np.array_equal(bits(s), bits(np.add.reduce(view, axis=1)))
@@ -399,7 +407,7 @@ class TestPrefixSumsMatchNumpy:
     def test_rows_longer_than_one_pairwise_block(self):
         # above 128 columns numpy splits the row in two halves
         m = self.matrix(np.random.default_rng(128), 40, 300)
-        for n, s in enumerate(_prefix_sums(lambda k: m[:, k - 1], 300), start=1):
+        for n, s in enumerate(_prefix_sums(self.columns(m), 300, 40), start=1):
             assert np.array_equal(bits(s), bits(m[:, :n].sum(axis=1)))
 
     def test_exponents_match_term_matrix_row_sums(self):
@@ -408,7 +416,10 @@ class TestPrefixSumsMatchNumpy:
         s = make_spectrum(levels, rng.integers(1, 5, levels.size))
         for coeffs in [rng.uniform(-1.0, 1.0, 20) / 8.0 ** np.arange(1, 21),
                        # all negative: every term at E = 0 is -0.0
-                       -rng.uniform(0.5, 1.0, 20) / 8.0 ** np.arange(1, 21)]:
+                       -rng.uniform(0.5, 1.0, 20) / 8.0 ** np.arange(1, 21),
+                       # zero multipliers: terms 0.0 * E**n of either sign
+                       np.where(np.arange(20) % 3 == 1, 0.0, -1.0 / 8.0 ** np.arange(1, 21))
+                       * np.where(np.arange(20) % 2 == 0, 1.0, -1.0)]:
             terms = levels[:, None] ** np.arange(1, 21)[None, :] * coeffs
             sweep = _truncated_exponents(s, MultiplierVector(tuple(coeffs)))
             for n, swept in enumerate(sweep, start=1):
@@ -424,6 +435,24 @@ class TestPrefixSumsMatchNumpy:
         with pytest.raises(NonFiniteExponent):
             next(sweep)
 
+    def test_zero_multiplier_times_overflowing_power_is_a_zero_term(self):
+        # 1e30**n overflows from n = 11; 0.0 * inf would be NaN
+        s = make_spectrum([0.0, 1e30], [1, 1])
+        trailing = MultiplierVector((1e-31,) + (0.0,) * 11)
+        assert tuple(_exponents(s, trailing)) == (0.0, 0.1)
+        assert ext_distribution(s, trailing) == ext_distribution(s, MultiplierVector((1e-31,)))
+        assert log_partition(s, trailing) == log_partition(s, MultiplierVector((1e-31,)))
+        sweep = _truncated_exponents(s, trailing)
+        assert [tuple(x) for x in sweep] == [(0.0, 0.1)] * 12
+        nonzero = MultiplierVector((1e-31,) + (0.0,) * 9 + (1e-300,))
+        with pytest.raises(NonFiniteExponent):
+            ext_distribution(s, nonzero)
+        sweep = _truncated_exponents(s, nonzero)
+        for _ in range(10):
+            assert tuple(next(sweep)) == (0.0, 0.1)
+        with pytest.raises(NonFiniteExponent):
+            next(sweep)
+
     def test_finite_terms_overflowing_in_the_sum_are_allowed(self):
         # only a non-finite term is an error; an infinite exponent is a zero weight
         s = make_spectrum([0.0, 1.0], [1, 1])
@@ -434,11 +463,13 @@ class TestPrefixSumsMatchNumpy:
 
 class TestPowerMatrix:
     def test_contiguous_at_every_order(self):
+        # matmul callers get (levels, order) C-contiguous copies of the
+        # row-major cache, whatever order the cache was filled to
         s = make_spectrum([-1.5, 0.0, 0.3, 2.0], [1, 2, 1, 1])
-        full = s._powers(9)
+        expected = s.levels[:, None] ** np.arange(1, 10)[None, :]
+        s._powers(9)
         for order in (9, 4, 1):
             pw = _power_matrix(s, order)
             assert pw.shape == (4, order)
             assert pw.flags.c_contiguous
-            assert np.array_equal(bits(pw), bits(full[:, :order]))
-        assert _power_matrix(s, 9) is full
+            assert np.array_equal(bits(pw), bits(expected[:, :order]))

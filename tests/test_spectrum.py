@@ -183,8 +183,21 @@ class TestPowerCache:
         with pytest.raises(ValueError):
             powers[0, 0] = 1.0
         expected = s.levels[:, None] ** np.arange(1, 6)[None, :]
-        assert powers.shape == (6, 5)
-        assert powers.tobytes() == expected.tobytes()
+        # one contiguous row per power
+        assert powers.shape == (5, 6)
+        assert powers.flags.c_contiguous
+        assert powers.tobytes() == np.ascontiguousarray(expected.T).tobytes()
+
+    def test_rows_equal_pow_where_a_scalar_exponent_squares(self):
+        # numpy computes x ** 2 for a scalar exponent 2 as x * x, which
+        # differs from pow(x, 2.0) in the last bit on some inputs; a row-major
+        # cache built as levels[None, :] ** n[:, None] would hit that path
+        levels = np.unique(np.random.default_rng(2).uniform(-3.0, 8.0, 10_000))
+        s = make_spectrum(levels, np.ones(levels.size, dtype=np.int64))
+        expected = np.ascontiguousarray((levels[:, None] ** np.arange(1, 13)[None, :]).T)
+        squared = levels[None, :] ** np.arange(1, 13)[:, None]
+        assert not np.array_equal(squared[1], expected[1])
+        assert s._powers(12).tobytes() == expected.tobytes()
 
     def test_second_call_returns_the_same_array(self):
         s = make_spectrum([0.0, 0.5, 2.0], [1, 1, 1])
@@ -196,9 +209,11 @@ class TestPowerCache:
         s = make_spectrum(np.linspace(-3.0, 3.0, 50), [1] * 50)
         narrow = s._powers(3)
         wide = s._powers(20)
-        assert wide.shape == (50, 20)
+        assert wide.shape == (20, 50)
         assert s._powers(7) is wide
-        assert np.ascontiguousarray(wide[:, :3]).tobytes() == narrow.tobytes()
+        assert wide[:3].tobytes() == narrow.tobytes()
+        expected = s.levels[:, None] ** np.arange(1, 21)[None, :]
+        assert wide.tobytes() == np.ascontiguousarray(expected.T).tobytes()
 
     def test_eq_and_repr_unchanged(self):
         s = make_spectrum([0.0, 1.0, 2.5], [1, 2, 1])
@@ -215,7 +230,7 @@ class TestPowerCache:
         # still get at least the columns it asked for, with correct values
         spectra_ = [make_spectrum(np.linspace(-1.0, 1.0, 300) + k, [1] * 300)
                     for k in range(40)]
-        expected = [sp.levels[:, None] ** np.arange(1, 21)[None, :] for sp in spectra_]
+        expected = [(sp.levels[:, None] ** np.arange(1, 21)[None, :]).T for sp in spectra_]
         failures = []
 
         def worker(seed):
@@ -224,8 +239,8 @@ class TestPowerCache:
                 for sp, full in zip(spectra_, expected):
                     order = int(rng.integers(1, 21))
                     powers = sp._powers(order)
-                    width = powers.shape[1]
-                    if width < order or not np.array_equal(powers, full[:, :width]):
+                    width = powers.shape[0]
+                    if width < order or not np.array_equal(powers, full[:width]):
                         failures.append((order, width))
 
         interval = sys.getswitchinterval()
