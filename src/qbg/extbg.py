@@ -62,6 +62,11 @@ class MultiplierVector:
         return len(self.coeffs)
 
 
+def _require_finite_center(center):
+    if not math.isfinite(float(center)):
+        raise ValueError(f"center must be finite, got {center!r}")
+
+
 @dataclass(frozen=True)
 class CenteredMultiplierVector:
     """Multipliers for powers of (E - center)."""
@@ -71,8 +76,7 @@ class CenteredMultiplierVector:
 
     def __post_init__(self):
         coeffs = _finite_tuple(self.coeffs, "multiplier")
-        if not math.isfinite(float(self.center)):
-            raise ValueError(f"center must be finite, got {self.center!r}")
+        _require_finite_center(self.center)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "center", _as_number(self.center))
 
@@ -345,6 +349,7 @@ def center_multipliers(m: MultiplierVector, center) -> CenteredMultiplierVector:
     :func:`uncenter_multipliers` at the same center.
     """
     _require_order(m.order)
+    _require_finite_center(center)
     n_max = m.order
     coeffs = [Fraction(c) for c in m.coeffs]
     cc = Fraction(center)

@@ -44,6 +44,11 @@ class _CutOff:
 CUTOFF = _CutOff()
 
 
+def _require_finite_q(q: float):
+    if not math.isfinite(q):
+        raise ValueError(f"q must be finite, got {q!r}")
+
+
 @dataclass(frozen=True)
 class QParams:
     """Entropic index q and inverse temperature beta (beta = 0 is the
@@ -53,8 +58,7 @@ class QParams:
     beta: float
 
     def __post_init__(self):
-        if not math.isfinite(self.q):
-            raise ValueError(f"q must be finite, got {self.q!r}")
+        _require_finite_q(self.q)
         if not math.isfinite(self.beta) or self.beta < 0:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
 
@@ -74,6 +78,37 @@ def q_log_weight(params: QParams, energy: float):
     return math.log1p(u) / (1.0 - q)
 
 
+def _log_weights(levels: np.ndarray, params: QParams) -> np.ndarray:
+    """Per-level :func:`q_log_weight` as one array, ``-inf`` for a cut-off
+    level, bit for bit; raises :class:`AllLevelsCutOff` if every level is
+    cut off.  The result is a view into a scratch buffer the caller owns."""
+    q, beta = params.q, params.beta
+    if abs(q - 1.0) < Q_ONE_EPS:
+        return -beta * levels
+    n = len(levels)
+    # numpy's float64 log1p is a SIMD kernel that differs from libm's in the
+    # last bit for a few percent of inputs.  numpy runs it when input and
+    # output do not overlap or coincide exactly; when they partly overlap it
+    # calls libm's log1p, as math.log1p does, one element at a time.  So u
+    # goes into buf[1:n+1], ahead of a zero pad, and log1p of buf[1:] is
+    # written one element lower, into buf[:-1]; the pad keeps a one-level
+    # call overlapping too.
+    buf = np.empty(n + 2)
+    buf[-1] = 0.0
+    u = np.multiply(-(1.0 - q) * beta, levels, out=buf[1:-1])
+    # cut off where 1 + u <= 0, or u is NaN: the same levels as u > -1 fails
+    cut = np.logical_not(u > -1.0)
+    if cut.all():
+        raise AllLevelsCutOff(
+            f"every level of the spectrum is cut off at q={params.q}, beta={params.beta}"
+        )
+    np.copyto(u, 0.0, where=cut)
+    log_w = np.log1p(buf[1:], out=buf[:-1])[:n]
+    log_w /= 1.0 - q
+    np.copyto(log_w, -np.inf, where=cut)
+    return log_w
+
+
 def q_distribution(
     spectrum: EnergySpectrum, params: QParams
 ) -> tuple[Distribution, float]:
@@ -85,24 +120,7 @@ def q_distribution(
     large exponents do not overflow.  Each level's log weight equals
     :func:`q_log_weight`'s, with ``-inf`` for a cut-off level.
     """
-    q, beta = params.q, params.beta
-    e = spectrum.levels
-    if abs(q - 1.0) < Q_ONE_EPS:
-        log_w = -beta * e
-    else:
-        u = -(1.0 - q) * beta * e
-        active = 1.0 + u > 0.0
-        n_active = int(np.count_nonzero(active))
-        if n_active == 0:
-            raise AllLevelsCutOff(
-                f"every level of the spectrum is cut off at q={params.q}, beta={params.beta}"
-            )
-        log_w = np.full(len(e), -np.inf)
-        # math.log1p, not np.log1p: the two differ in the last bit for some u;
-        # a memoryview hands it Python floats without building a list
-        log_w[active] = np.fromiter(
-            map(math.log1p, memoryview(u[active])), np.float64, n_active
-        ) / (1.0 - q)
+    log_w = _log_weights(spectrum.levels, params)
     a = np.log(spectrum.degeneracies)
     a += log_w
     probs, log_z = _normalize(a, log_w)
@@ -114,8 +132,9 @@ def tsallis_entropy(dist: Distribution, q: float) -> float:
 
     Evaluated as ``-sum_i P_i * expm1((q-1)*log(P_i)) / (q-1)``, which is
     exact in the q -> 1 limit direction; |q-1| < 1e-12 routes to the plain
-    Gibbs formula.
+    Gibbs formula.  A non-finite q raises ``ValueError``.
     """
+    _require_finite_q(q)
     p = dist.probs[dist.probs > 0]
     if abs(q - 1.0) < Q_ONE_EPS:
         return float(-(p * np.log(p)).sum())
@@ -127,8 +146,10 @@ def escort_energy(dist: Distribution, spectrum: EnergySpectrum, q: float) -> flo
 
     Level probability is split equally among the g_i states of a level
     before raising to the power q, so each state carries ``(P_i/g_i)**q``
-    and the degeneracy contributes the factor ``g_i**(1-q)``.
+    and the degeneracy contributes the factor ``g_i**(1-q)``.  A non-finite
+    q raises ``ValueError``.
     """
+    _require_finite_q(q)
     if len(dist) != len(spectrum):
         raise LengthMismatch(
             f"{len(spectrum)} levels but {len(dist)} probabilities"

@@ -255,6 +255,12 @@ class TestCenteredMultipliers:
         with pytest.raises(OrderTooLarge):
             uncenter_multipliers(CenteredMultiplierVector((0.1,) * 21, 1.0))
 
+    def test_non_finite_center_raises(self):
+        m = MultiplierVector((1.0, 0.5))
+        for center in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="center must be finite"):
+                center_multipliers(m, center)
+
     def test_shift_covariance(self):
         # the constant shift moves log Z by -shift and leaves probabilities put
         s = make_spectrum([-1.0, 0.0, 1.5, 2.0], [1, 2, 1, 1])

@@ -1,4 +1,9 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from qbg import (
 )
 from qbg.errors import AllLevelsCutOff, LengthMismatch
 from qbg.extbg import bg_entropy
+from qbg.qstat import _log_weights
 
 from conftest import distributions, spectra
 
@@ -166,6 +172,119 @@ class TestVectorizedMatchesPerLevel:
                         (1 - 5e-13, 1.0), (1 + 5e-13, 1.0), (1 - 1e-6, 2.0)):
             self.check(s, QParams(q, beta))
 
+    def test_1e5_levels(self):
+        rng = np.random.default_rng(12)
+        s = make_spectrum(equiv_large_levels(rng), rng.integers(1, 1001, 100_000))
+        for q, beta in ((0.95, 1.5), (1.05, 2.25), (1 - 1e-6, 3.0), (0.8, 0.9), (1.5, 1.0)):
+            self.check(s, QParams(q, beta))
+
+
+def equiv_large_levels(rng):
+    """1e5 jittered levels on [-2, 8], as the equiv-large benchmark builds them."""
+    grid = np.linspace(-2.0, 8.0, 100_000)
+    half = 0.4 * (grid[1] - grid[0])
+    return grid + rng.uniform(-half, half, grid.size)
+
+
+def log1p_inputs():
+    """About 1e6 arguments for log1p: magnitudes 1e-300..0.999 of both signs,
+    uniform draws on (-0.999, 0.999), and edge values."""
+    rng = np.random.default_rng(2026)
+    n = 500_000
+    wide = 10.0 ** rng.uniform(-300.0, math.log10(0.999), n) * rng.choice([-1.0, 1.0], n)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.999, -0.999, -1.0 + 2.0**-53]
+    return np.concatenate([wide, rng.uniform(-0.999, 0.999, n), edges])
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+#: (1-q, beta) of the equiv-large benchmark's eight cases
+EQUIV_LARGE_SHAPES = ((0.05, 1.5), (-0.05, 2.25), (0.01, 7.5), (-0.01, 3.75),
+                      (1e-3, 3.0), (-1e-3, 3.0), (1e-6, 3.0), (-1e-6, 1.0))
+
+#: Evaluates the q-weights of the log1p arguments on stdin in a fresh process;
+#: prints the mismatches against math.log1p and a digest of math.log1p's bits.
+LOG1P_CHILD = """
+import hashlib, math, sys
+import numpy as np
+from qbg import QParams
+from qbg.qstat import _log_weights
+u = np.frombuffer(sys.stdin.buffer.read())
+expected = np.fromiter(map(math.log1p, u.tolist()), np.float64, u.size)
+got = _log_weights(-u, QParams(0.0, 1.0))
+print(np.count_nonzero(got.view(np.int64) != expected.view(np.int64)),
+      hashlib.sha256(expected.tobytes()).hexdigest())
+"""
+
+
+def glibc_has_fma_log1p():
+    """Whether glibc picks an FMA build of log1p here (x86-64 glibc >= 2.35
+    on a CPU with AVX2 and FMA)."""
+    name, version = platform.libc_ver()
+    core = getattr(np, "_core", None) or np.core  # numpy 2 renamed np.core
+    features = core._multiarray_umath.__cpu_features__
+    return (name == "glibc" and platform.machine() == "x86_64"
+            and tuple(map(int, version.split(".")[:2])) >= (2, 35)
+            and features.get("AVX2", False) and features.get("FMA3", False))
+
+
+class TestLogWeightsMatchLibm:
+    """The q-weights take their log1p from libm, bit for bit as math.log1p:
+    numpy's SIMD log1p differs in the last bit for a few percent of inputs."""
+
+    def test_log1p_arguments(self):
+        u = log1p_inputs()
+        # q = 0 and beta = 1 make u = -(1-q)*beta*E exactly -E, and the
+        # divisor 1-q exactly 1
+        got = _log_weights(-u, QParams(0.0, 1.0))
+        expected = np.fromiter(map(math.log1p, u.tolist()), np.float64, u.size)
+        assert np.count_nonzero(bits(got) != bits(expected)) == 0
+
+    def test_equiv_large_spectrum(self):
+        levels = equiv_large_levels(np.random.default_rng(41))
+        for one_minus_q, beta in EQUIV_LARGE_SHAPES:
+            params = QParams(1.0 - one_minus_q, beta)
+            expected = [q_log_weight(params, e) for e in levels.tolist()]
+            assert CUTOFF not in expected
+            got = _log_weights(levels, params)
+            assert np.count_nonzero(bits(got) != bits(expected)) == 0
+
+    def test_single_levels(self):
+        params = QParams(0.0, 1.0)
+        for u in np.random.default_rng(14).uniform(-0.999, 0.999, 2000).tolist():
+            assert bits(_log_weights(np.array([-u]), params))[0] == bits(math.log1p(u))
+
+    def test_cutoff_levels_are_minus_inf(self):
+        # u = -E: cut off where E >= 1, and for E = nan
+        e = np.array([1.0 - 2.0**-53, 1.0, 1.5, np.inf, np.nan, -np.inf, 0.5])
+        got = _log_weights(e, QParams(0.0, 1.0))
+        assert np.array_equal(bits(got), bits([math.log1p(-e[0]), -math.inf, -math.inf,
+                                               -math.inf, -math.inf, math.inf,
+                                               math.log1p(-0.5)]))
+
+    def test_both_glibc_builds(self):
+        """glibc picks its log1p when it loads: an FMA build where the CPU has
+        AVX2 and FMA, else a plain one.  A child told that the CPU lacks both
+        runs the plain build; the q-weights follow math.log1p under each."""
+        u = log1p_inputs()
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("GLIBC_TUNABLES", None)
+        digests = []
+        for tunables in (None, "glibc.cpu.hwcaps=-AVX2,-FMA"):
+            child_env = env if tunables is None else dict(env, GLIBC_TUNABLES=tunables)
+            result = subprocess.run([sys.executable, "-c", LOG1P_CHILD], input=u.tobytes(),
+                                    env=child_env, capture_output=True, check=True)
+            mismatches, digest = result.stdout.decode().split()
+            assert int(mismatches) == 0
+            digests.append(digest)
+        if glibc_has_fma_log1p():
+            # the two children really ran different log1p builds
+            assert digests[0] != digests[1]
+
 
 class TestTsallisEntropy:
     def test_uniform_two_outcomes_q2(self):
@@ -178,6 +297,12 @@ class TestTsallisEntropy:
 
     def test_uniform_two_outcomes_q1(self):
         assert tsallis_entropy(Distribution((0.5, 0.5)), 1.0) == pytest.approx(math.log(2), rel=1e-14)
+
+    def test_non_finite_q_raises(self):
+        d = Distribution((0.5, 0.5))
+        for q in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="q must be finite"):
+                tsallis_entropy(d, q)
 
     @given(distributions())
     def test_continuity_at_q_one(self, d):
@@ -223,6 +348,13 @@ class TestEscortEnergy:
         s = make_spectrum([0, 1], [1, 1])
         with pytest.raises(LengthMismatch):
             escort_energy(Distribution((1.0,)), s, 2.0)
+
+    def test_non_finite_q_raises(self):
+        s = make_spectrum([0, 1], [1, 1])
+        d = Distribution((0.5, 0.5))
+        for q in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="q must be finite"):
+                escort_energy(d, s, q)
 
 
 class TestProductDistribution:
