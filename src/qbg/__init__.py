@@ -41,12 +41,10 @@ from .maxent import (
     solve_multipliers,
 )
 from .qstat import (
-    CUTOFF,
     QParams,
     escort_energy,
     product_distribution,
     q_distribution,
-    q_log_weight,
     tsallis_entropy,
 )
 from .spectrum import (
@@ -55,13 +53,11 @@ from .spectrum import (
     load_spectrum,
     make_spectrum,
     rescale,
-    trace_of,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CUTOFF",
     "CenteredMultiplierVector",
     "ClaytonParams",
     "Distribution",
@@ -92,12 +88,10 @@ __all__ = [
     "multipliers_to_q",
     "product_distribution",
     "q_distribution",
-    "q_log_weight",
     "q_to_multipliers",
     "raw_moments",
     "rescale",
     "solve_multipliers",
-    "trace_of",
     "tsallis_entropy",
     "uncenter_multipliers",
 ]

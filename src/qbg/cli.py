@@ -39,14 +39,7 @@ from .extbg import (
     load_multipliers,
 )
 from .maxent import SolverOptions, solve_multipliers
-from .qstat import (
-    CUTOFF,
-    QParams,
-    escort_energy,
-    q_distribution,
-    q_log_weight,
-    tsallis_entropy,
-)
+from .qstat import QParams, _log_weights, escort_energy, q_distribution, tsallis_entropy
 from .spectrum import load_spectrum
 
 @dataclass
@@ -95,10 +88,11 @@ def _run_dist_q(config: RunConfig):
     dist, log_z = q_distribution(spectrum, params)
     meta = [("q", _fmt(params.q)), ("beta", _fmt(params.beta)),
             ("log_partition", _fmt(log_z))]
+    # the levels whose log weight is -inf: q_distribution gives them exactly 0
+    cutoff = np.isneginf(_log_weights(spectrum.levels, params)).tolist()
     rows = []
-    for energy, g, p in zip(spectrum.levels.tolist(), spectrum.degeneracies.tolist(),
-                            dist.probs.tolist()):
-        cut = q_log_weight(params, energy) is CUTOFF
+    for energy, g, p, cut in zip(spectrum.levels.tolist(), spectrum.degeneracies.tolist(),
+                                 dist.probs.tolist(), cutoff):
         prob = "0" if cut else _fmt(p)
         rows.append(f"{_fmt(energy)},{g},{prob},{'true' if cut else 'false'}")
     return meta, "energy,degeneracy,probability,cutoff", rows

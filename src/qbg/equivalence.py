@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -66,14 +67,33 @@ def q_to_multipliers(params: QParams, order: int) -> MultiplierVector:
     return MultiplierVector(coeffs)
 
 
+def _matched_q(coeffs: tuple, tol: float):
+    """``q = 1 - 2*beta_2/beta_1**2`` (1.0 at order 1) if every beta_n from
+    n = 2 on matches the mapping from (q, beta_1), else None.  A predicted
+    beta_n that is not finite raises ``OverflowError``."""
+    beta = coeffs[0]
+    q = 1 - 2 * coeffs[1] / (beta * beta) if len(coeffs) >= 2 else 1.0
+    one_minus_q = 1 - q
+    for n in range(2, len(coeffs) + 1):
+        predicted = one_minus_q ** (n - 1) * beta ** n / n
+        if not math.isfinite(predicted):
+            raise OverflowError("predicted multiplier out of range")
+        limit = _ABS_FALLBACK_TOL if abs(predicted) < _ABS_FALLBACK_FLOOR else tol * abs(predicted)
+        if abs(coeffs[n - 1] - predicted) > limit:
+            return None
+    return q
+
+
 def multipliers_to_q(m: MultiplierVector, tol: float):
     """Invert the mapping: recover (q, beta) from a multiplier vector.
 
     The candidate is ``beta = beta_1`` and ``q = 1 - 2*beta_2/beta_1**2``
     (q = 1 when the order is 1 or beta_2 = 0).  It is returned only if every
     remaining beta_n matches ``(1-q)**(n-1) * beta**n / n`` within ``tol``
-    relative (absolute 1e-12 for predicted values below 1e-300); otherwise
-    None.  A negative beta_1 also yields None, since a nonnegative inverse
+    relative (absolute 1e-12 for predicted values below 1e-300) and
+    :class:`QParams` accepts it; otherwise None.  Where floats under- or
+    overflow on the way, the check is redone in exact rational arithmetic.
+    A negative beta_1 also yields None, since a nonnegative inverse
     temperature cannot reproduce it.  A NaN ``tol`` raises ``ValueError``:
     every comparison with it is false, so it would accept any vector.
     """
@@ -84,21 +104,16 @@ def multipliers_to_q(m: MultiplierVector, tol: float):
         raise ZeroLeadingMultiplier("the first multiplier must be nonzero")
     if b1 < 0:
         return None
-    beta = b1
-    if m.order >= 2:
-        q = 1 - 2 * m.coeffs[1] / (b1 * b1)
-    else:
-        q = 1.0
-    one_minus_q = 1 - q
-    for n in range(2, m.order + 1):
-        predicted = one_minus_q ** (n - 1) * beta ** n / n
-        actual = m.coeffs[n - 1]
-        if abs(predicted) < _ABS_FALLBACK_FLOOR:
-            if abs(actual - predicted) > _ABS_FALLBACK_TOL:
-                return None
-        elif abs(actual - predicted) > tol * abs(predicted):
-            return None
-    return QParams(q, beta)
+    try:
+        q = _matched_q(m.coeffs, tol)
+        return None if q is None else QParams(q, b1)
+    except (ArithmeticError, ValueError):
+        pass
+    try:
+        q = _matched_q(tuple(map(Fraction, m.coeffs)), tol)
+        return None if q is None else QParams(float(q), b1)
+    except (OverflowError, ValueError):
+        return None
 
 
 def clayton_to_q(delta):

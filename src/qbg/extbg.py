@@ -24,9 +24,14 @@ import numpy as np
 from .errors import LengthMismatch, NonFiniteExponent, OrderTooLarge, ParseError
 from .spectrum import Distribution, EnergySpectrum, _field, _pairs
 
-#: Largest supported multiplier/moment order; binomial transforms use exact
-#: integer arithmetic and refuse beyond this.
+#: Largest supported multiplier order: a multiplier vector with more entries
+#: raises :class:`OrderTooLarge` when it is built.
 MAX_ORDER = 20
+
+
+def _require_order(n: int):
+    if n > MAX_ORDER:
+        raise OrderTooLarge(f"order {n} exceeds the cap of {MAX_ORDER}")
 
 
 def _as_number(x):
@@ -49,12 +54,14 @@ def _finite_tuple(values, what: str, convert=_as_number) -> tuple:
 
 @dataclass(frozen=True)
 class MultiplierVector:
-    """Multipliers (beta_1, ..., beta_N), beta_n in units of energy**-n."""
+    """Multipliers (beta_1, ..., beta_N), beta_n in units of energy**-n,
+    N <= MAX_ORDER."""
 
     coeffs: tuple
 
     def __post_init__(self):
         coeffs = _finite_tuple(self.coeffs, "multiplier")
+        _require_order(len(coeffs))
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -69,13 +76,14 @@ def _require_finite_center(center):
 
 @dataclass(frozen=True)
 class CenteredMultiplierVector:
-    """Multipliers for powers of (E - center)."""
+    """Multipliers for powers of (E - center), at most MAX_ORDER of them."""
 
     coeffs: tuple
     center: float
 
     def __post_init__(self):
         coeffs = _finite_tuple(self.coeffs, "multiplier")
+        _require_order(len(coeffs))
         _require_finite_center(self.center)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "center", _as_number(self.center))
@@ -124,57 +132,40 @@ def _power_matrix(spectrum: EnergySpectrum, order: int) -> np.ndarray:
     return np.ascontiguousarray(spectrum._powers(order)[:order].T)
 
 
-def _spares(size: int, n: int) -> list:
-    """The spare buffers :func:`_pairwise` needs to sum ``n`` columns of
-    ``size`` entries: one scratch below 8 terms, four up to 128, one more per
-    split above 128."""
-    count = 1 if n < 8 else 4
-    while n > 128:
-        n -= n // 2 - (n // 2) % 8
-        count += 1
-    return [np.empty(size) for _ in range(count)]
+def _pairwise(column, n: int, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """Write the sum of terms 1, ..., n into ``out``, in the order of numpy's
+    ``pairwise_sum`` for n <= 128 (numpy splits a longer row in two; no row
+    here is longer than MAX_ORDER): left to right below 8 terms; else 8
+    lanes (lane j adds terms j, j + 8, ... of the whole blocks of 8) joined
+    as ((r1+r2)+(r3+r4))+((r5+r6)+(r7+r8)), then the rest left to right.
 
-
-def _pairwise(column, first: int, n: int, out: np.ndarray, spare: list) -> np.ndarray:
-    """Write the sum of terms ``first``, ..., ``first + n - 1`` into ``out``,
-    in the order of numpy's ``pairwise_sum``: left to right below 8 terms;
-    up to 128 terms, 8 lanes (lane j adds terms j, j + 8, ... of the whole
-    blocks of 8) joined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
-    rest left to right; above 128, the two halves split at a multiple of 8.
-
-    ``column(j, buf)`` writes term j into ``buf``.  ``spare`` holds the
-    buffers of :func:`_spares`, which are overwritten.
+    ``column(j, buf)`` writes term j into ``buf``.  The four rows of
+    ``spare``, an array of shape (4, out.size), are overwritten as scratch.
 
     numpy starts the short loop from 0.0, which can only turn a -0.0 into
     0.0; callers add the row reduction's leading 0.0, which does the same."""
-    scratch = spare[0]
+    scratch, b1, b2, b3 = spare
     if n < 8:
-        column(first, out)
-        for j in range(first + 1, first + n):
+        column(1, out)
+        for j in range(2, n + 1):
             np.add(out, column(j, scratch), out=out)
         return out
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        _pairwise(column, first, half, out, spare)
-        second = _pairwise(column, first + half, n - half, scratch, spare[1:])
-        return np.add(out, second, out=out)
-    b1, b2, b3 = spare[1:4]
     blocks = n - n % 8
 
     def lane(j, buf):
-        column(first + j, buf)
-        for k in range(first + j + 8, first + blocks, 8):
+        column(j, buf)
+        for k in range(j + 8, blocks + 1, 8):
             np.add(buf, column(k, scratch), out=buf)
         return buf
 
-    np.add(lane(0, out), lane(1, b1), out=out)
-    np.add(lane(2, b1), lane(3, b2), out=b1)
+    np.add(lane(1, out), lane(2, b1), out=out)
+    np.add(lane(3, b1), lane(4, b2), out=b1)
     np.add(out, b1, out=out)
-    np.add(lane(4, b1), lane(5, b2), out=b1)
-    np.add(lane(6, b2), lane(7, b3), out=b2)
+    np.add(lane(5, b1), lane(6, b2), out=b1)
+    np.add(lane(7, b2), lane(8, b3), out=b2)
     np.add(b1, b2, out=b1)
     np.add(out, b1, out=out)
-    for j in range(first + blocks, first + n):
+    for j in range(blocks + 1, n + 1):
         np.add(out, column(j, scratch), out=out)
     return out
 
@@ -187,15 +178,16 @@ def _prefix_sums(column, count: int, size: int):
     the next order's sum.
 
     numpy reduces a row as ``0.0 + pairwise_sum(row)``.  Between the points
-    where the pairwise tree changes shape (N = 1, every multiple of 8, and
-    every N above 128) that is the sum for N - 1 plus term N, so a sweep
-    costs one column per order and works in a few buffers of ``size``.
+    where the pairwise tree changes shape (N = 1 and every multiple of 8)
+    that is the sum for N - 1 plus term N, so a sweep costs one column per
+    order and works in a few buffers of ``size``.  ``count`` is at most
+    MAX_ORDER, as :func:`_pairwise` requires.
     """
     acc = np.empty(size)
-    spare = _spares(size, count)
+    spare = np.empty((4, size))
     for n in range(1, count + 1):
-        if n == 1 or n % 8 == 0 or n > 128:
-            _pairwise(column, 1, n, acc, spare)
+        if n == 1 or n % 8 == 0:
+            _pairwise(column, n, acc, spare)
             np.add(0.0, acc, out=acc)
         else:
             np.add(acc, column(n, spare[0]), out=acc)
@@ -256,7 +248,7 @@ def _exponents(spectrum: EnergySpectrum, m: MultiplierVector) -> np.ndarray:
     column = _term_column(spectrum, m)
     s = np.empty(len(spectrum))
     with np.errstate(over="ignore", invalid="ignore"):
-        _pairwise(column, 1, m.order, s, _spares(s.size, m.order))
+        _pairwise(column, m.order, s, np.empty((4, s.size)))
         return _checked(np.add(0.0, s, out=s), column, m.order)
 
 
@@ -337,18 +329,12 @@ def central_moments(
     return MomentVector(tuple(values))
 
 
-def _require_order(n: int):
-    if n > MAX_ORDER:
-        raise OrderTooLarge(f"order {n} exceeds the cap of {MAX_ORDER}")
-
-
 def center_multipliers(m: MultiplierVector, center) -> CenteredMultiplierVector:
     """Re-express raw multipliers around a reference energy.
 
     ``bt_n = sum_{k>=n} C(k, n) * beta_k * center**(k-n)``; exact inverse of
     :func:`uncenter_multipliers` at the same center.
     """
-    _require_order(m.order)
     _require_finite_center(center)
     n_max = m.order
     coeffs = [Fraction(c) for c in m.coeffs]
@@ -373,7 +359,6 @@ def uncenter_multipliers(
     shift is absorbed by normalization, so the distribution built from the raw
     vector coincides with the centered form.
     """
-    _require_order(c.order)
     n_max = c.order
     coeffs = [Fraction(x) for x in c.coeffs]
     neg_center = -Fraction(c.center)

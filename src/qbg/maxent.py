@@ -60,12 +60,12 @@ class SolverOptions:
     backtrack_factor: float = 0.5
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        if not self.ridge >= 0:
+            raise ValueError(f"ridge must be >= 0, got {self.ridge!r}")
         if not 0 < self.armijo_c < 1:
             raise ValueError("armijo_c must be in (0, 1)")
         if not 0 < self.backtrack_factor < 1:
@@ -173,13 +173,11 @@ def solve_multipliers(
     powers_of_scale = scale ** np.arange(1, n_order + 1)
     t_scaled = mu_t / powers_of_scale
 
-    def back_transform(b: np.ndarray) -> MultiplierVector:
-        return MultiplierVector(tuple(b / powers_of_scale))
-
     pw = _power_matrix(scaled, n_order)
     b = np.zeros(n_order)
     iterations = 0
     final_step = 0.0
+    why = None
     while True:
         log_z, _, mu, h = _dual_state(scaled, MultiplierVector(tuple(b)), pw)
         residual = mu - t_scaled
@@ -187,50 +185,43 @@ def solve_multipliers(
         dual_value = log_z + float(b @ t_scaled)
 
         if residual_norm <= opts.tol:
-            report = SolverReport(
-                converged=True,
-                iterations=iterations,
-                residual_norm=residual_norm,
-                final_step_size=final_step,
-                rescale_factor=scale,
-            )
-            return back_transform(b), report
+            break
         if iterations >= opts.max_iter:
-            _fail(back_transform(b), iterations, residual_norm, final_step, scale,
-                  "iteration budget exhausted")
-
+            why = "iteration budget exhausted"
+            break
         direction = _newton_direction(h, residual, opts.ridge)
         if direction is None:
-            _fail(back_transform(b), iterations, residual_norm, final_step, scale,
-                  "Hessian factorization failed beyond the ridge cap")
+            why = "Hessian factorization failed beyond the ridge cap"
+            break
         # F decreases along d: grad F = -residual, so grad.d = -r.H^-1.r < 0
         slope = -float(residual @ direction)
         step = 1.0
-        while True:
+        while step >= _MIN_STEP:
             trial = b + step * direction
             trial_log_z = log_partition(scaled, MultiplierVector(tuple(trial)))
             trial_dual = trial_log_z + float(trial @ t_scaled)
             if math.isfinite(trial_dual) and trial_dual <= dual_value + opts.armijo_c * step * slope:
                 break
             step *= opts.backtrack_factor
-            if step < _MIN_STEP:
-                _fail(back_transform(b), iterations, residual_norm, final_step, scale,
-                      "line search stalled")
+        if step < _MIN_STEP:
+            why = "line search stalled"
+            break
         b = trial
         iterations += 1
         final_step = step
 
-
-def _fail(multipliers, iterations, residual_norm, final_step, scale, why):
+    multipliers = MultiplierVector(tuple(b / powers_of_scale))
     report = SolverReport(
-        converged=False,
+        converged=why is None,
         iterations=iterations,
         residual_norm=residual_norm,
         final_step_size=final_step,
         rescale_factor=scale,
     )
-    raise NotConverged(
-        f"{why}; residual sup norm {residual_norm:.3e} after {iterations} iterations",
-        multipliers=multipliers,
-        report=report,
-    )
+    if why is not None:
+        raise NotConverged(
+            f"{why}; residual sup norm {residual_norm:.3e} after {iterations} iterations",
+            multipliers=multipliers,
+            report=report,
+        )
+    return multipliers, report

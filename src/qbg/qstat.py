@@ -2,8 +2,8 @@
 
 The unnormalized weight of a level is ``[1 - (1-q)*beta*E]**(1/(1-q))``,
 which reduces to ``exp(-beta*E)`` at q = 1.  Where the bracket is
-nonpositive the weight is zero; such levels are reported with the CUTOFF
-sentinel and carry probability exactly 0.
+nonpositive the weight is zero: such a level is cut off, its log weight is
+``-inf`` and its probability exactly 0.
 
 Entropy uses k = 1 (nats):  ``S_q = (1 - sum_i P_i**q) / (q - 1)`` with the
 q -> 1 limit ``-sum_i P_i * log(P_i)``.
@@ -26,24 +26,6 @@ from .spectrum import Distribution, EnergySpectrum
 Q_ONE_EPS = 1e-12
 
 
-class _CutOff:
-    """Sentinel for levels outside the support (zero weight)."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "CUTOFF"
-
-
-CUTOFF = _CutOff()
-
-
 def _require_finite_q(q: float):
     if not math.isfinite(q):
         raise ValueError(f"q must be finite, got {q!r}")
@@ -52,7 +34,9 @@ def _require_finite_q(q: float):
 @dataclass(frozen=True)
 class QParams:
     """Entropic index q and inverse temperature beta (beta = 0 is the
-    infinite-temperature limit and gives the uniform distribution)."""
+    infinite-temperature limit and gives the uniform distribution).  The
+    deformation ``(1-q)*beta`` must be finite too: every weight is formed
+    from it."""
 
     q: float
     beta: float
@@ -61,27 +45,17 @@ class QParams:
         _require_finite_q(self.q)
         if not math.isfinite(self.beta) or self.beta < 0:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
-
-
-def q_log_weight(params: QParams, energy: float):
-    """Log of the unnormalized weight at one energy, or CUTOFF.
-
-    Computed as ``log1p(-(1-q)*beta*E) / (1-q)``, which is stable for q
-    near 1; below |q-1| = 1e-12 the exact value ``-beta*E`` is returned.
-    """
-    q = params.q
-    if abs(q - 1.0) < Q_ONE_EPS:
-        return -params.beta * energy
-    u = -(1.0 - q) * params.beta * energy
-    if 1.0 + u <= 0.0:
-        return CUTOFF
-    return math.log1p(u) / (1.0 - q)
+        if not math.isfinite((1.0 - self.q) * self.beta):
+            raise ValueError(
+                f"(1-q)*beta must be finite, got q={self.q!r}, beta={self.beta!r}"
+            )
 
 
 def _log_weights(levels: np.ndarray, params: QParams) -> np.ndarray:
-    """Per-level :func:`q_log_weight` as one array, ``-inf`` for a cut-off
-    level, bit for bit; raises :class:`AllLevelsCutOff` if every level is
-    cut off.  The result is a view into a scratch buffer the caller owns."""
+    """Per-level log weights ``log1p(-(1-q)*beta*E) / (1-q)``, or the exact
+    ``-beta*E`` below |q-1| = 1e-12, with ``-inf`` for a cut-off level;
+    raises :class:`AllLevelsCutOff` if every level is cut off.  The result
+    is a view into a scratch buffer the caller owns."""
     q, beta = params.q, params.beta
     if abs(q - 1.0) < Q_ONE_EPS:
         return -beta * levels
@@ -117,8 +91,7 @@ def q_distribution(
     ``P_i`` is proportional to ``g_i * [1-(1-q)*beta*E_i]**(1/(1-q))``;
     cut-off levels get probability exactly 0.  The log partition function
     ``log(sum_i g_i * w_i)`` is accumulated in log space (max shift), so
-    large exponents do not overflow.  Each level's log weight equals
-    :func:`q_log_weight`'s, with ``-inf`` for a cut-off level.
+    large exponents do not overflow.
     """
     log_w = _log_weights(spectrum.levels, params)
     a = np.log(spectrum.degeneracies)

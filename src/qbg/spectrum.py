@@ -1,8 +1,7 @@
-"""Finite discrete energy spectra and degeneracy-weighted sums.
+"""Finite discrete energy spectra and the distributions on them.
 
 A spectrum is a strictly increasing array of energy levels E_i with positive
-integer degeneracies g_i.  A trace of a per-level quantity f is the weighted
-sum ``sum_i g_i * f_i``.  Probabilities are stored per level with the
+integer degeneracies g_i.  Probabilities are stored per level with the
 degeneracy already folded in, so ``P_i`` is the total probability of level i.
 
 ``EnergySpectrum.levels`` is a float64 array, ``EnergySpectrum.degeneracies``
@@ -120,11 +119,6 @@ class EnergySpectrum:
     def __len__(self) -> int:
         return len(self.levels)
 
-    @property
-    def state_count(self) -> int:
-        """Total number of states, sum of degeneracies."""
-        return int(self.degeneracies.sum())
-
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
@@ -157,16 +151,6 @@ def make_spectrum(levels, degeneracies) -> EnergySpectrum:
     """Validate and build a spectrum from level energies and degeneracies
     (sequences or arrays)."""
     return EnergySpectrum(levels, degeneracies)
-
-
-def trace_of(spectrum: EnergySpectrum, per_level_values) -> float:
-    """Degeneracy-weighted sum ``sum_i g_i * value_i``."""
-    values = np.asarray(per_level_values, dtype=np.float64)
-    if values.shape != spectrum.levels.shape:
-        raise LengthMismatch(
-            f"{len(spectrum)} levels but {values.size} values"
-        )
-    return math.fsum((spectrum.degeneracies * values).tolist())
 
 
 def rescale(spectrum: EnergySpectrum, scale: float) -> EnergySpectrum:

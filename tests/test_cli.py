@@ -96,6 +96,26 @@ class TestDistQ:
             else:
                 assert flag == "false" and float(prob) > 0
 
+    @pytest.mark.parametrize("q", ["1", "2"])
+    def test_zero_weight_without_bracket_cut_is_flagged(self, tmp_path, q):
+        # beta*E overflows: at q = 1 the log weight -beta*E is -inf, at q = 2
+        # u = inf and log1p(inf)/(1-q) is -inf; the row reads as cut off
+        spectrum = tmp_path / "s.csv"
+        spectrum.write_text("0,1\n1e300,1\n")
+        out = tmp_path / "dist.csv"
+        assert main(["dist-q", "--spectrum", str(spectrum), "--q", q, "--beta", "1e10",
+                     "--out", str(out)]) == 0
+        _, _, rows = parse_report(out)
+        assert rows == [["0.0", "1", "1.0", "false"], ["1e+300", "1", "0", "true"]]
+
+    def test_non_finite_deformation_fails_without_output(self, tmp_path, capsys,
+                                                          spectrum_file):
+        out = tmp_path / "dist.csv"
+        assert main(["dist-q", "--spectrum", str(spectrum_file), "--q=-1e300",
+                     "--beta", "1e10", "--out", str(out)]) == 1
+        assert "(1-q)*beta must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_probabilities_sum_to_one(self, tmp_path, spectrum_file):
         out = tmp_path / "dist.csv"
         run_cli("dist-q", "--spectrum", spectrum_file, "--q", "1", "--beta", "0.5",
@@ -117,6 +137,15 @@ class TestDistExt:
         z = sum(w)
         for row, expected in zip(rows, w):
             assert float(row[2]) == pytest.approx(expected / z, rel=1e-12)
+
+    def test_order_cap_fails_without_output(self, tmp_path, capsys, spectrum_file):
+        multipliers = tmp_path / "m.csv"
+        multipliers.write_text("".join(f"{n},0.001\n" for n in range(1, 22)))
+        out = tmp_path / "dist.csv"
+        assert main(["dist-ext", "--spectrum", str(spectrum_file), "--multipliers",
+                     str(multipliers), "--out", str(out)]) == 1
+        assert "OrderTooLarge" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEquiv:
@@ -180,6 +209,24 @@ class TestInvertMap:
         meta, _, rows = parse_report(out)
         assert meta["matched"] == "false"
         assert rows == []
+
+    @pytest.mark.parametrize("coeffs, expected", [
+        # beta_1**2 underflows to 0
+        ((1e-200, 0.0), [["1.0", "1e-200"]]),
+        ((1e-170, 1e-320), [["-1.9999777343653662e+20", "1e-170"]]),
+        # (1-q)**2 overflows; the predicted beta_3 is far from 5
+        ((1e-100, 1e100, 5.0), []),
+        # q = 1 - 2e310 is not a finite float
+        ((1e-5, 1e300), []),
+    ])
+    def test_float_range_edges(self, tmp_path, coeffs, expected):
+        multipliers = tmp_path / "m.csv"
+        multipliers.write_text("".join(f"{n},{c!r}\n" for n, c in enumerate(coeffs, 1)))
+        out = tmp_path / "inv.csv"
+        assert main(["invert-map", "--multipliers", str(multipliers), "--out", str(out)]) == 0
+        meta, _, rows = parse_report(out)
+        assert meta["matched"] == ("true" if expected else "false")
+        assert rows == expected
 
 
 class TestEntropy:

@@ -86,6 +86,40 @@ class TestMultipliersToQ:
     def test_single_coefficient_is_boltzmann(self):
         assert multipliers_to_q(MultiplierVector((0.5,)), 1e-9) == QParams(1.0, 0.5)
 
+    def test_underflowing_beta_1_squared(self):
+        # beta_1**2 underflows to 0: beta_2 = 0 still means q = 1, and a
+        # nonzero beta_2 gives the finite q = 1 - 2*beta_2/beta_1**2
+        assert multipliers_to_q(MultiplierVector((1e-200, 0.0)), 1e-9) == QParams(1.0, 1e-200)
+        params = multipliers_to_q(MultiplierVector((1e-170, 1e-320)), 1e-9)
+        exact = 1 - 2 * Fraction(1e-320) / Fraction(1e-170) ** 2
+        assert params == QParams(float(exact), 1e-170)
+        assert type(params.q) is float
+
+    def test_overflowing_prediction_gives_no_value(self):
+        # (1-q)**2 overflows, but the predicted beta_3 = 4e600*1e-300/3 is
+        # finite and far from 5
+        assert multipliers_to_q(MultiplierVector((1e-100, 1e100, 5.0)), 1e-9) is None
+        # the product (1-q)**2 * beta**3 overflows to inf in floats, which
+        # every beta_3 would match
+        assert multipliers_to_q(MultiplierVector((1e100, 7e203, 5.0)), 1e-9) is None
+
+    def test_overflowing_prediction_can_match(self):
+        # (1-q)**2 = 4e600 overflows; beta_n = (1-q)**(n-1) * beta**n / n do not
+        one_minus_q, beta = Fraction(2e300), Fraction(1e-100)
+        m = MultiplierVector(tuple(float(one_minus_q ** (n - 1) * beta ** n / n)
+                                   for n in (1, 2, 3)))
+        params = multipliers_to_q(m, 1e-9)
+        assert params is not None and params.beta == 1e-100
+        assert params.q == pytest.approx(1 - 2e300, rel=1e-15)
+
+    def test_q_beyond_float_range_gives_no_value(self):
+        # q = 1 - 2e300/1e-10 is not a finite float
+        assert multipliers_to_q(MultiplierVector((1e-5, 1e300)), 1e-9) is None
+
+    def test_non_finite_deformation_gives_no_value(self):
+        # q = 1 - 3.4e308/2.25 is a finite float, but (1-q)*beta is not
+        assert multipliers_to_q(MultiplierVector((1.5, 1.7e308)), 1e-9) is None
+
     @pytest.mark.parametrize("q", [0.5, 0.9, 0.98, 1.0, 1.02, 1.5, 2.0])
     @pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
     @pytest.mark.parametrize("order", [2, 4, 6, 8])

@@ -122,6 +122,21 @@ class TestDualHessian:
             assert eigenvalues.min() >= -1e-10
 
 
+class TestSolverOptions:
+    @pytest.mark.parametrize("field, value", [
+        ("tol", math.inf), ("tol", math.nan), ("tol", 0.0), ("tol", -1e-10),
+        ("ridge", math.nan), ("ridge", -1.0),
+        ("max_iter", 2.5), ("max_iter", math.nan), ("max_iter", 0), ("max_iter", 2.0),
+    ])
+    def test_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverOptions(**{field: value})
+
+    def test_integer_max_iter_accepted(self):
+        assert SolverOptions(max_iter=np.int64(3)).max_iter == 3
+        assert SolverOptions(max_iter=1, ridge=0.0).ridge == 0.0
+
+
 class TestSolveMultipliers:
     def test_symmetric_target_gives_zero_multiplier(self):
         s = make_spectrum([0, 1], [1, 1])

@@ -12,14 +12,12 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from qbg import (
-    CUTOFF,
     Distribution,
     QParams,
     escort_energy,
     make_spectrum,
     product_distribution,
     q_distribution,
-    q_log_weight,
     tsallis_entropy,
 )
 from qbg.errors import AllLevelsCutOff, LengthMismatch
@@ -38,24 +36,55 @@ def boltzmann_probs(spectrum, beta):
     return [x / z for x in w]
 
 
+def ref_log_weight(q, beta, energy):
+    """Log weight of one level in plain Python: ``log1p(u) / (1-q)`` with
+    ``u = -(1-q)*beta*E``, None where the bracket ``1 + u`` is <= 0, and the
+    exact ``-beta*E`` below |q-1| = 1e-12."""
+    if abs(q - 1.0) < 1e-12:
+        return -beta * energy
+    u = -(1.0 - q) * beta * energy
+    if 1.0 + u <= 0.0:
+        return None
+    return math.log1p(u) / (1.0 - q)
+
+
+def log_weights(levels, q, beta):
+    return _log_weights(np.asarray(levels, dtype=np.float64), QParams(q, beta))
+
+
 class TestQLogWeight:
     def test_boltzmann_branch_is_exact(self):
-        assert q_log_weight(QParams(1.0, 2.0), 3.0) == -6.0
+        assert log_weights([3.0], 1.0, 2.0)[0] == -6.0
 
     def test_direct_evaluation_q2(self):
         # weight (1+E)^-1 at E=1 gives log(1/2)
-        w = q_log_weight(QParams(2.0, 1.0), 1.0)
-        assert w == pytest.approx(-math.log(2), rel=1e-15)
+        assert log_weights([1.0], 2.0, 1.0)[0] == pytest.approx(-math.log(2), rel=1e-15)
 
     def test_cutoff_by_sign_of_bracket(self):
         # 1 - 0.5*3 = -0.5 <= 0
-        assert q_log_weight(QParams(0.5, 1.0), 3.0) is CUTOFF
+        assert log_weights([0.0, 3.0], 0.5, 1.0)[1] == -math.inf
 
     def test_bracket_zero_is_cutoff(self):
-        assert q_log_weight(QParams(0.5, 1.0), 2.0) is CUTOFF
+        assert log_weights([0.0, 2.0], 0.5, 1.0)[1] == -math.inf
 
     def test_negative_energy_cutoff_for_q_above_one(self):
-        assert q_log_weight(QParams(2.0, 1.0), -1.0) is CUTOFF
+        assert log_weights([-1.0, 0.0], 2.0, 1.0)[0] == -math.inf
+
+
+class TestQParams:
+    def test_non_finite_deformation_raises(self):
+        # (1-q)*beta overflows: a level at E = 0 would get u = inf*0 = nan
+        for q, beta in ((-1e300, 1e10), (1e300, 1e10), (-1.7e308, 2.0)):
+            with pytest.raises(ValueError, match=r"\(1-q\)\*beta must be finite"):
+                QParams(q, beta)
+
+    def test_largest_finite_deformation_is_kept(self):
+        s = make_spectrum([-1e-300, 0.0], [1, 1])
+        params = QParams(-1e300, 1e8)     # (1-q)*beta = 1e308
+        d, _ = q_distribution(s, params)
+        assert np.array_equal(log_weights(s.levels, params.q, params.beta),
+                              [ref_log_weight(params.q, params.beta, e) for e in s.levels])
+        assert d.probs[1] > 0.0
 
 
 class TestQDistribution:
@@ -104,8 +133,10 @@ class TestQDistribution:
     @given(spectra(min_levels=2, min_energy=0.0, max_energy=5.0),
            st.floats(0.1, 0.95, allow_nan=False), st.floats(0.1, 3.0, allow_nan=False))
     def test_cutoff_is_monotone_in_energy(self, s, q, beta):
-        params = QParams(q, beta)
-        flags = [q_log_weight(params, e) is CUTOFF for e in s.levels]
+        try:
+            flags = np.isneginf(log_weights(s.levels, q, beta)).tolist()
+        except AllLevelsCutOff:
+            return
         # once a level is cut off, all higher levels are too
         assert flags == sorted(flags)
 
@@ -124,10 +155,11 @@ class TestQDistribution:
 
 
 def per_level_q_distribution(spectrum, params):
-    """The q-distribution from one scalar q_log_weight call per level, or
+    """The q-distribution from one :func:`ref_log_weight` call per level, or
     None when every level is cut off."""
     a = np.array([
-        -math.inf if (w := q_log_weight(params, e)) is CUTOFF else math.log(g) + w
+        -math.inf if (w := ref_log_weight(params.q, params.beta, e)) is None
+        else math.log(g) + w
         for e, g in zip(spectrum.levels.tolist(), spectrum.degeneracies.tolist())
     ])
     if np.all(a == -math.inf):
@@ -246,8 +278,8 @@ class TestLogWeightsMatchLibm:
         levels = equiv_large_levels(np.random.default_rng(41))
         for one_minus_q, beta in EQUIV_LARGE_SHAPES:
             params = QParams(1.0 - one_minus_q, beta)
-            expected = [q_log_weight(params, e) for e in levels.tolist()]
-            assert CUTOFF not in expected
+            expected = [ref_log_weight(params.q, params.beta, e) for e in levels.tolist()]
+            assert None not in expected
             got = _log_weights(levels, params)
             assert np.count_nonzero(bits(got) != bits(expected)) == 0
 
