@@ -39,7 +39,7 @@ from .extbg import (
     load_multipliers,
 )
 from .maxent import SolverOptions, solve_multipliers
-from .qstat import QParams, _log_weights, escort_energy, q_distribution, tsallis_entropy
+from .qstat import QParams, log_weights, escort_energy, q_distribution, tsallis_entropy
 from .spectrum import load_spectrum
 
 @dataclass
@@ -88,8 +88,8 @@ def _run_dist_q(config: RunConfig):
     dist, log_z = q_distribution(spectrum, params)
     meta = [("q", _fmt(params.q)), ("beta", _fmt(params.beta)),
             ("log_partition", _fmt(log_z))]
-    # the levels whose log weight is -inf: q_distribution gives them exactly 0
-    cutoff = np.isneginf(_log_weights(spectrum.levels, params)).tolist()
+    # q_distribution's own mask (probability exactly 0); one more O(levels) pass
+    cutoff = np.isneginf(log_weights(spectrum.levels, params)).tolist()
     rows = []
     for energy, g, p, cut in zip(spectrum.levels.tolist(), spectrum.degeneracies.tolist(),
                                  dist.probs.tolist(), cutoff):

@@ -51,11 +51,11 @@ class QParams:
             )
 
 
-def _log_weights(levels: np.ndarray, params: QParams) -> np.ndarray:
+def log_weights(levels: np.ndarray, params: QParams) -> np.ndarray:
     """Per-level log weights ``log1p(-(1-q)*beta*E) / (1-q)``, or the exact
-    ``-beta*E`` below |q-1| = 1e-12, with ``-inf`` for a cut-off level;
-    raises :class:`AllLevelsCutOff` if every level is cut off.  The result
-    is a view into a scratch buffer the caller owns."""
+    ``-beta*E`` below |q-1| = 1e-12, with ``-inf`` for a cut-off level: the
+    one weight and cut-off rule behind q_distribution.  Raises
+    :class:`AllLevelsCutOff` if every level is cut off; returns a new array."""
     q, beta = params.q, params.beta
     if abs(q - 1.0) < Q_ONE_EPS:
         return -beta * levels
@@ -93,7 +93,7 @@ def q_distribution(
     ``log(sum_i g_i * w_i)`` is accumulated in log space (max shift), so
     large exponents do not overflow.
     """
-    log_w = _log_weights(spectrum.levels, params)
+    log_w = log_weights(spectrum.levels, params)
     a = np.log(spectrum.degeneracies)
     a += log_w
     probs, log_z = _normalize(a, log_w)

@@ -22,7 +22,7 @@ from qbg import (
 )
 from qbg.errors import AllLevelsCutOff, LengthMismatch
 from qbg.extbg import bg_entropy
-from qbg.qstat import _log_weights
+from qbg import qstat
 
 from conftest import distributions, spectra
 
@@ -49,7 +49,7 @@ def ref_log_weight(q, beta, energy):
 
 
 def log_weights(levels, q, beta):
-    return _log_weights(np.asarray(levels, dtype=np.float64), QParams(q, beta))
+    return qstat.log_weights(np.asarray(levels, dtype=np.float64), QParams(q, beta))
 
 
 class TestQLogWeight:
@@ -242,10 +242,10 @@ LOG1P_CHILD = """
 import hashlib, math, sys
 import numpy as np
 from qbg import QParams
-from qbg.qstat import _log_weights
+from qbg import qstat
 u = np.frombuffer(sys.stdin.buffer.read())
 expected = np.fromiter(map(math.log1p, u.tolist()), np.float64, u.size)
-got = _log_weights(-u, QParams(0.0, 1.0))
+got = qstat.log_weights(-u, QParams(0.0, 1.0))
 print(np.count_nonzero(got.view(np.int64) != expected.view(np.int64)),
       hashlib.sha256(expected.tobytes()).hexdigest())
 """
@@ -270,7 +270,7 @@ class TestLogWeightsMatchLibm:
         u = log1p_inputs()
         # q = 0 and beta = 1 make u = -(1-q)*beta*E exactly -E, and the
         # divisor 1-q exactly 1
-        got = _log_weights(-u, QParams(0.0, 1.0))
+        got = qstat.log_weights(-u, QParams(0.0, 1.0))
         expected = np.fromiter(map(math.log1p, u.tolist()), np.float64, u.size)
         assert np.count_nonzero(bits(got) != bits(expected)) == 0
 
@@ -280,18 +280,18 @@ class TestLogWeightsMatchLibm:
             params = QParams(1.0 - one_minus_q, beta)
             expected = [ref_log_weight(params.q, params.beta, e) for e in levels.tolist()]
             assert None not in expected
-            got = _log_weights(levels, params)
+            got = qstat.log_weights(levels, params)
             assert np.count_nonzero(bits(got) != bits(expected)) == 0
 
     def test_single_levels(self):
         params = QParams(0.0, 1.0)
         for u in np.random.default_rng(14).uniform(-0.999, 0.999, 2000).tolist():
-            assert bits(_log_weights(np.array([-u]), params))[0] == bits(math.log1p(u))
+            assert bits(qstat.log_weights(np.array([-u]), params))[0] == bits(math.log1p(u))
 
     def test_cutoff_levels_are_minus_inf(self):
         # u = -E: cut off where E >= 1, and for E = nan
         e = np.array([1.0 - 2.0**-53, 1.0, 1.5, np.inf, np.nan, -np.inf, 0.5])
-        got = _log_weights(e, QParams(0.0, 1.0))
+        got = qstat.log_weights(e, QParams(0.0, 1.0))
         assert np.array_equal(bits(got), bits([math.log1p(-e[0]), -math.inf, -math.inf,
                                                -math.inf, -math.inf, math.inf,
                                                math.log1p(-0.5)]))
