@@ -51,33 +51,41 @@ class EquivalenceReport:
             raise ValueError("domain ratio must be >= 0")
 
 
+def _mapped(one_minus_q, beta, n: int):
+    """beta_n = (1-q)**(n-1) * beta**n / n; ``ValueError`` naming n if it overflows."""
+    try:
+        coeff = one_minus_q ** (n - 1) * beta ** n / n
+        if math.isfinite(coeff):
+            return coeff
+    except OverflowError:
+        pass
+    raise ValueError(f"multiplier beta_{n} = (1-q)**{n - 1} * beta**{n} / {n} overflows")
+
+
 def q_to_multipliers(params: QParams, order: int) -> MultiplierVector:
     """Multipliers beta_n = (1-q)**(n-1) * beta**n / n for n = 1..order.
 
-    At q = 1 this is (beta, 0, ..., 0): the series terminates.
+    At q = 1 this is (beta, 0, ..., 0): the series terminates.  A beta_n
+    out of the float range raises ``ValueError``.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     _require_order(order)
     one_minus_q = 1 - params.q
-    beta = params.beta
-    coeffs = tuple(
-        one_minus_q ** (n - 1) * beta ** n / n for n in range(1, order + 1)
+    return MultiplierVector(
+        tuple(_mapped(one_minus_q, params.beta, n) for n in range(1, order + 1))
     )
-    return MultiplierVector(coeffs)
 
 
 def _matched_q(coeffs: tuple, tol: float):
     """``q = 1 - 2*beta_2/beta_1**2`` (1.0 at order 1) if every beta_n from
     n = 2 on matches the mapping from (q, beta_1), else None.  A predicted
-    beta_n that is not finite raises ``OverflowError``."""
+    beta_n out of the float range raises ``ValueError``."""
     beta = coeffs[0]
     q = 1 - 2 * coeffs[1] / (beta * beta) if len(coeffs) >= 2 else 1.0
     one_minus_q = 1 - q
     for n in range(2, len(coeffs) + 1):
-        predicted = one_minus_q ** (n - 1) * beta ** n / n
-        if not math.isfinite(predicted):
-            raise OverflowError("predicted multiplier out of range")
+        predicted = _mapped(one_minus_q, beta, n)
         limit = _ABS_FALLBACK_TOL if abs(predicted) < _ABS_FALLBACK_FLOOR else tol * abs(predicted)
         if abs(coeffs[n - 1] - predicted) > limit:
             return None
@@ -125,9 +133,10 @@ def clayton_to_q(delta):
 
 
 def convergence_domain_ratio(spectrum: EnergySpectrum, params: QParams) -> float:
-    """max_i |(1-q)*beta*E_i|; the expansion converges at every level iff
-    this is < 1."""
-    return float(np.max(np.abs((1.0 - params.q) * params.beta * spectrum.levels)))
+    """max_i |(1-q)*beta*E_i|, at an end level as rounding is monotone; the
+    expansion converges at every level iff this is < 1."""
+    k = (1.0 - params.q) * params.beta
+    return max(abs(k * float(spectrum.levels[0])), abs(k * float(spectrum.levels[-1])))
 
 
 def equivalence_report(
@@ -143,8 +152,10 @@ def equivalence_report(
     The order-N exponents come from one pass over the spectrum's cached
     powers, in the summation order of a fresh order-N
     :func:`~qbg.extbg.ext_distribution`, so each distance is the one a
-    fresh evaluation gives.  The sweep, the normalisation and the distance
-    run in place in a few level-sized arrays that live for this call only.
+    fresh evaluation gives.  Everything runs in place: with the spectrum's
+    caches warm, the call holds six level-sized arrays at its peak (the
+    exact probabilities, the running sum, and a (4, levels) scratch block
+    whose first two rows hold ``log g - s`` and the probabilities).
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -155,13 +166,14 @@ def equivalence_report(
             f"domain ratio {ratio} >= 1; the expansion does not converge on this spectrum"
         )
     exact, _ = q_distribution(spectrum, params)
-    log_g = np.log(spectrum.degeneracies)
-    log_w = np.empty(len(spectrum))
-    probs = np.empty(len(spectrum))
+    log_g = spectrum._log_g()
+    # shared: the sweep writes it only inside next(), this loop only between yields
+    scratch = np.empty((4, len(spectrum)))
+    log_w, probs = scratch[0], scratch[1]
     distances = []
     # one errstate for the whole sweep, which needs it (see _truncated_exponents)
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in _truncated_exponents(spectrum, q_to_multipliers(params, max_order)):
+        for s in _truncated_exponents(spectrum, q_to_multipliers(params, max_order), scratch):
             _normalize(np.subtract(log_g, s, out=log_w), probs)
             np.subtract(probs, exact.probs, out=probs)
             distances.append(float(np.abs(probs, out=probs).max()))

@@ -170,27 +170,28 @@ def _pairwise(column, n: int, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
     return out
 
 
-def _prefix_sums(column, count: int, size: int):
+def _prefix_sums(column, count: int, scratch: np.ndarray):
     """Yield the sum of terms 1..N for N = 1..count, equal bit for bit to
     ``np.add.reduce(M[:, :N], axis=1)`` of the C-ordered matrix M whose
-    column n - 1 holds term n; ``column(n, buf)`` writes term n, ``size``
-    entries, into ``buf``.  Every yield is the same array, overwritten by
-    the next order's sum.
+    column n - 1 holds term n; ``column(n, buf)`` writes term n into
+    ``buf``.  Every yield is the same array, overwritten by the next
+    order's sum.  ``scratch``, shape (4, size), is the caller's: the sweep
+    overwrites it inside each ``next()`` and leaves it alone between
+    yields, so the caller may use it there.
 
     numpy reduces a row as ``0.0 + pairwise_sum(row)``.  Between the points
     where the pairwise tree changes shape (N = 1 and every multiple of 8)
     that is the sum for N - 1 plus term N, so a sweep costs one column per
-    order and works in a few buffers of ``size``.  ``count`` is at most
+    order and works in ``scratch`` and one sum buffer.  ``count`` is at most
     MAX_ORDER, as :func:`_pairwise` requires.
     """
-    acc = np.empty(size)
-    spare = np.empty((4, size))
+    acc = np.empty(scratch.shape[1])
     for n in range(1, count + 1):
         if n == 1 or n % 8 == 0:
-            _pairwise(column, n, acc, spare)
+            _pairwise(column, n, acc, scratch)
             np.add(0.0, acc, out=acc)
         else:
-            np.add(acc, column(n, spare[0]), out=acc)
+            np.add(acc, column(n, scratch[0]), out=acc)
         yield acc
 
 
@@ -227,17 +228,17 @@ def _checked(s: np.ndarray, column, order: int) -> np.ndarray:
     return s
 
 
-def _truncated_exponents(spectrum: EnergySpectrum, m: MultiplierVector):
+def _truncated_exponents(spectrum: EnergySpectrum, m: MultiplierVector, scratch: np.ndarray):
     """Yield the order-N exponents ``s_i = sum_{n<=N} beta_n * E_i**n`` for
     N = 1..m.order, each bit for bit the :func:`_exponents` of the first N
     multipliers.  Every yield is the same array, overwritten by the next
-    order.
+    order; ``scratch``, shape (4, levels), is used as in :func:`_prefix_sums`.
 
     Consume it under ``np.errstate(over="ignore", invalid="ignore")``, as
     :func:`_exponents` runs: a term that overflows then raises
     :class:`NonFiniteExponent` without a warning first."""
     column = _term_column(spectrum, m)
-    sums = _prefix_sums(column, m.order, len(spectrum))
+    sums = _prefix_sums(column, m.order, scratch)
     for order, s in enumerate(sums, start=1):
         yield _checked(s, column, order)
 
@@ -260,7 +261,7 @@ def _logsumexp(a: np.ndarray, work: np.ndarray | None = None) -> float:
     overwritten as scratch; without it one is allocated."""
     a_max = a.max(keepdims=True)
     ties = a == a_max
-    m = ties.sum(keepdims=True, dtype=np.float64)
+    m = np.array([np.count_nonzero(ties)], dtype=np.float64)
     work = np.subtract(a, a_max, out=work)
     np.copyto(work, -np.inf, where=ties)
     s = np.exp(work, out=work).sum(keepdims=True)
@@ -282,14 +283,14 @@ def _normalize(a: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray
 
 def log_partition(spectrum: EnergySpectrum, m: MultiplierVector) -> float:
     """log of ``sum_i g_i * exp(-sum_n beta_n E_i**n)``, max-shift stable."""
-    return _logsumexp(np.log(spectrum.degeneracies) - _exponents(spectrum, m))
+    return _logsumexp(spectrum._log_g() - _exponents(spectrum, m))
 
 
 def ext_distribution(
     spectrum: EnergySpectrum, m: MultiplierVector
 ) -> tuple[Distribution, float]:
     """Distribution ``P_i = g_i * exp(-sum_n beta_n E_i**n - log Z)`` and log Z."""
-    probs, log_z = _normalize(np.log(spectrum.degeneracies) - _exponents(spectrum, m))
+    probs, log_z = _normalize(spectrum._log_g() - _exponents(spectrum, m))
     return Distribution(probs), log_z
 
 

@@ -58,7 +58,8 @@ def log_weights(levels: np.ndarray, params: QParams) -> np.ndarray:
     :class:`AllLevelsCutOff` if every level is cut off; returns a new array."""
     q, beta = params.q, params.beta
     if abs(q - 1.0) < Q_ONE_EPS:
-        return -beta * levels
+        with np.errstate(over="ignore"):   # beta*E past the float range: weight 0
+            return -beta * levels
     n = len(levels)
     # numpy's float64 log1p is a SIMD kernel that differs from libm's in the
     # last bit for a few percent of inputs.  numpy runs it when input and
@@ -69,7 +70,8 @@ def log_weights(levels: np.ndarray, params: QParams) -> np.ndarray:
     # call overlapping too.
     buf = np.empty(n + 2)
     buf[-1] = 0.0
-    u = np.multiply(-(1.0 - q) * beta, levels, out=buf[1:-1])
+    with np.errstate(over="ignore"):   # u = +-inf: cut off, or log weight -inf
+        u = np.multiply(-(1.0 - q) * beta, levels, out=buf[1:-1])
     # cut off where 1 + u <= 0, or u is NaN: the same levels as u > -1 fails
     cut = np.logical_not(u > -1.0)
     if cut.all():
@@ -94,8 +96,7 @@ def q_distribution(
     large exponents do not overflow.
     """
     log_w = log_weights(spectrum.levels, params)
-    a = np.log(spectrum.degeneracies)
-    a += log_w
+    a = spectrum._log_g() + log_w
     probs, log_z = _normalize(a, log_w)
     return Distribution(probs), log_z
 

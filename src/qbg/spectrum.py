@@ -8,14 +8,15 @@ degeneracy already folded in, so ``P_i`` is the total probability of level i.
 an int64 array and ``Distribution.probs`` a float64 array.  Each is a private,
 read-only copy made at construction (writing into one raises ``ValueError``).
 
-A spectrum also holds one private cache: the read-only power matrix
-``E_i**n``, n = 1..k, one contiguous row per power (shape (k, levels)),
-filled on first use and widened when a higher order is asked for.  It costs
-8 * levels * k bytes for the widest order k used on that spectrum.  Its
-values follow from the levels alone, so it never goes stale; threads that
-fill it at once may each compute it, and every caller gets at least the
-rows it asked for.  Every operation is a pure function, safe
-for concurrent use.
+A spectrum also holds two private, read-only caches, each filled on first
+use: ``log g_i``, and the power matrix ``E_i**n``, n = 1..k, one contiguous
+row per power (shape (k, levels)), widened when a higher order is asked
+for.  They cost 8 * levels * (k + 1) bytes for the widest order k used on
+that spectrum.  Their values follow from the spectrum alone, so they never
+go stale; threads that fill one at once may each compute it, and every
+caller gets at least the rows it asked for.  With both warm,
+``equivalence_report`` holds six level-sized arrays at its peak.  Every
+operation is a pure function, safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -89,6 +90,15 @@ class EnergySpectrum:
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "degeneracies", degs)
         object.__setattr__(self, "_power_cache", None)
+        object.__setattr__(self, "_log_g_cache", None)
+
+    def _log_g(self) -> np.ndarray:
+        """Read-only ``np.log(degeneracies)``; cached."""
+        if self._log_g_cache is None:
+            log_g = np.log(self.degeneracies)
+            log_g.flags.writeable = False
+            object.__setattr__(self, "_log_g_cache", log_g)
+        return self._log_g_cache
 
     def _powers(self, order: int) -> np.ndarray:
         """Read-only ``levels ** n`` in row n - 1, for n = 1..k with

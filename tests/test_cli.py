@@ -70,6 +70,16 @@ class TestMap:
                          "--out", tmp_path / "x.csv", check=False)
         assert result.returncode != 0
 
+    def test_multiplier_past_float_range_fails_in_one_line(self, tmp_path):
+        # beta**2 = 1e400 is not a float
+        out = tmp_path / "x.csv"
+        result = run_cli("map", "--q", "0.5", "--beta", "1e200", "--order", "2",
+                         "--out", out, check=False)
+        assert result.returncode == 1
+        assert result.stderr.startswith("ValueError: multiplier beta_2 ")
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+        assert not out.exists()
+
 
 class TestClayton:
     def test_rows_and_q_comment(self, tmp_path):
@@ -107,6 +117,14 @@ class TestDistQ:
                      "--out", str(out)]) == 0
         _, _, rows = parse_report(out)
         assert rows == [["0.0", "1", "1.0", "false"], ["1e+300", "1", "0", "true"]]
+
+    @pytest.mark.parametrize("q", ["1", "2"])
+    def test_overflowing_weight_writes_no_warning(self, tmp_path, q):
+        spectrum = tmp_path / "s.csv"
+        spectrum.write_text("0,1\n1e300,1\n")
+        result = run_cli("dist-q", "--spectrum", spectrum, "--q", q, "--beta", "1e10",
+                         "--out", tmp_path / "dist.csv")
+        assert result.stderr == ""
 
     def test_non_finite_deformation_fails_without_output(self, tmp_path, capsys,
                                                           spectrum_file):

@@ -1,8 +1,10 @@
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qbg import (
@@ -49,6 +51,12 @@ class TestQToMultipliers:
     def test_exact_rational_inputs_stay_exact(self):
         m = q_to_multipliers(QParams(Fraction(49, 50), Fraction(1)), 2)
         assert m.coeffs == (Fraction(1), Fraction(1, 100))
+
+    @pytest.mark.parametrize("q, beta, n", [(0.5, 1e200, 2), (1.0, 1e200, 2),
+                                            (-1e200, 1e-100, 3)])
+    def test_out_of_float_range_names_the_order(self, q, beta, n):
+        with pytest.raises(ValueError, match=f"multiplier beta_{n} = "):
+            q_to_multipliers(QParams(q, beta), 4)
 
 
 class TestMultipliersToQ:
@@ -174,8 +182,49 @@ class TestConvergenceDomainRatio:
         s = make_spectrum([-4, 1], [1, 1])
         assert convergence_domain_ratio(s, QParams(0.9, 1.0)) == pytest.approx(0.4, rel=1e-13)
 
+    @given(
+        st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40, unique=True),
+        st.floats(-1e3, 1e3),
+        st.floats(0.0, 1e300),
+        st.sampled_from(["any", "negative", "spans zero"]),
+    )
+    def test_end_levels_give_the_full_maximum_bit_for_bit(self, values, q, beta, kind):
+        levels = np.sort(np.array(values))
+        if kind == "negative":
+            levels = np.unique(-np.abs(levels) - 1.0)
+        elif kind == "spans zero":
+            levels = np.unique(np.concatenate([levels, -levels, [0.0]]))
+        assume(math.isfinite((1.0 - q) * beta))
+        params = QParams(q, beta)
+        with np.errstate(over="ignore"):   # k*E may overflow to inf
+            expected = float(np.max(np.abs((1.0 - q) * beta * levels)))
+        got = convergence_domain_ratio(make_spectrum(levels, [1] * levels.size), params)
+        assert np.float64(got).view(np.uint64) == np.float64(expected).view(np.uint64)
+
 
 class TestEquivalenceReport:
+    def test_multiplier_past_float_range_is_a_value_error(self):
+        # q = 1: beta_2 is mathematically 0, but beta**2 = 1e400 is not a float
+        s = make_spectrum([0.0, 1e-300], [1, 1])
+        with pytest.raises(ValueError, match="multiplier beta_2 = "):
+            equivalence_report(s, QParams(1.0, 1e200), 2)
+
+    def test_peak_holds_at_most_six_and_a_half_level_arrays(self):
+        # with the spectrum's caches warm: the exact probabilities, the running
+        # sum, the (4, levels) scratch block, and the small tie mask
+        rng = np.random.default_rng(41)
+        levels = np.linspace(-2.0, 8.0, 100_000)
+        s = make_spectrum(levels, rng.integers(1, 5, levels.size))
+        params = QParams(0.99, 0.3)
+        equivalence_report(s, params, 12)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            equivalence_report(s, params, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 6.5 * 8 * levels.size
     def test_exact_at_q_one_for_every_order(self):
         s = make_spectrum([0.0, 0.7, 1.1, 3.0], [1, 2, 1, 1])
         report = equivalence_report(s, QParams(1.0, 1.3), 5)

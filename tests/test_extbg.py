@@ -383,6 +383,11 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
+def sweep_of(spectrum, m):
+    """The exponent sweep of ``m`` over ``spectrum``, with its own scratch."""
+    return _truncated_exponents(spectrum, m, np.empty((4, len(spectrum))))
+
+
 class TestPrefixSumsMatchNumpy:
     """The exponent kernel adds columns in numpy's row-sum order.  The sweep
     and ``ext_distribution`` share the kernel, so numpy's own reduction is the
@@ -411,10 +416,13 @@ class TestPrefixSumsMatchNumpy:
         wide = self.matrix(rng, 3000, 20)
         rows = self.matrix(rng, 6000, 20)[::2]
         for m in (wide, rows):
-            sums = _prefix_sums(self.columns(m), 20, m.shape[0])
+            scratch = np.empty((4, m.shape[0]))
+            sums = _prefix_sums(self.columns(m), 20, scratch)
             for n, s in enumerate(sums, start=1):
                 for view in (np.ascontiguousarray(m[:, :n]), m[:, :n]):
                     assert np.array_equal(bits(s), bits(np.add.reduce(view, axis=1)))
+                # between yields the scratch is the caller's to overwrite
+                scratch.fill(np.nan)
 
     def test_exponents_match_term_matrix_row_sums(self):
         rng = np.random.default_rng(41)
@@ -427,7 +435,7 @@ class TestPrefixSumsMatchNumpy:
                        np.where(np.arange(20) % 3 == 1, 0.0, -1.0 / 8.0 ** np.arange(1, 21))
                        * np.where(np.arange(20) % 2 == 0, 1.0, -1.0)]:
             terms = levels[:, None] ** np.arange(1, 21)[None, :] * coeffs
-            sweep = _truncated_exponents(s, MultiplierVector(tuple(coeffs)))
+            sweep = sweep_of(s, MultiplierVector(tuple(coeffs)))
             for n, swept in enumerate(sweep, start=1):
                 expected = bits(terms[:, :n].sum(axis=1))
                 assert np.array_equal(bits(swept), expected)
@@ -436,7 +444,7 @@ class TestPrefixSumsMatchNumpy:
 
     def test_nonfinite_term_rejected_at_its_order(self):
         s = make_spectrum([0.0, 1e200], [1, 1])
-        sweep = _truncated_exponents(s, MultiplierVector((1.0, 1.0)))
+        sweep = sweep_of(s, MultiplierVector((1.0, 1.0)))
         assert tuple(next(sweep)) == (0.0, 1e200)
         with pytest.raises(NonFiniteExponent):
             next(sweep)
@@ -448,12 +456,12 @@ class TestPrefixSumsMatchNumpy:
         assert tuple(_exponents(s, trailing)) == (0.0, 0.1)
         assert ext_distribution(s, trailing) == ext_distribution(s, MultiplierVector((1e-31,)))
         assert log_partition(s, trailing) == log_partition(s, MultiplierVector((1e-31,)))
-        sweep = _truncated_exponents(s, trailing)
+        sweep = sweep_of(s, trailing)
         assert [tuple(x) for x in sweep] == [(0.0, 0.1)] * 12
         nonzero = MultiplierVector((1e-31,) + (0.0,) * 9 + (1e-300,))
         with pytest.raises(NonFiniteExponent):
             ext_distribution(s, nonzero)
-        sweep = _truncated_exponents(s, nonzero)
+        sweep = sweep_of(s, nonzero)
         for _ in range(10):
             assert tuple(next(sweep)) == (0.0, 0.1)
         with pytest.raises(NonFiniteExponent):

@@ -256,6 +256,22 @@ class TestPowerCache:
                         == equivalence_report(fresh(), params, order))
 
 
+class TestLogDegeneracyCache:
+    def test_read_only_equal_to_log_and_kept(self):
+        s = make_spectrum([0.0, 1.0, 2.5, 4.0], [1, 2, 7, 3])
+        fresh = make_spectrum([0.0, 1.0, 2.5, 4.0], [1, 2, 7, 3])
+        before = repr(s)
+        log_g = s._log_g()
+        assert not log_g.flags.writeable
+        with pytest.raises(ValueError):
+            log_g[0] = 1.0
+        assert log_g.tobytes() == np.log(s.degeneracies).tobytes()
+        assert s._log_g() is log_g
+        assert repr(s) == before == repr(fresh)
+        assert s == fresh and fresh == s
+        assert [f.name for f in dataclasses.fields(s)] == ["levels", "degeneracies"]
+
+
 class TestLoadSpectrum:
     def test_parses_levels_comments_and_blanks(self, tmp_path):
         path = tmp_path / "spec.csv"
