@@ -52,7 +52,13 @@ class EquivalenceReport:
 
 
 def _mapped(one_minus_q, beta, n: int):
-    """beta_n = (1-q)**(n-1) * beta**n / n; ``ValueError`` naming n if it overflows."""
+    """beta_n = (1-q)**(n-1) * beta**n / n; ``ValueError`` naming n if it overflows.
+
+    At q = 1 exactly, beta_n for n >= 2 is an exact zero of the formula's
+    type, whatever beta**n would be; a (1-q)**(n-1) that merely underflows
+    still goes through the overflow check."""
+    if one_minus_q == 0 and n >= 2:
+        return one_minus_q * beta / n
     try:
         coeff = one_minus_q ** (n - 1) * beta ** n / n
         if math.isfinite(coeff):
@@ -65,8 +71,8 @@ def _mapped(one_minus_q, beta, n: int):
 def q_to_multipliers(params: QParams, order: int) -> MultiplierVector:
     """Multipliers beta_n = (1-q)**(n-1) * beta**n / n for n = 1..order.
 
-    At q = 1 this is (beta, 0, ..., 0): the series terminates.  A beta_n
-    out of the float range raises ``ValueError``.
+    At q = 1 this is (beta, 0, ..., 0) for any beta: the series terminates.
+    A beta_n out of the float range raises ``ValueError``.
     """
     if order < 1:
         raise ValueError("order must be >= 1")

@@ -19,11 +19,22 @@ ridge added only when the Cholesky factorization fails, and an Armijo
 backtracking line search keeps F non-increasing.  Recovered multipliers are
 mapped back by ``b_n -> b_n / s**n``.  Every call is deterministic and holds
 no global state.
+
+The Cholesky step calls LAPACK ``dpotrf``/``dpotrs`` exactly as
+``scipy.linalg.cho_factor(lower=True)`` and ``cho_solve`` do, from the
+extension ``scipy.linalg._flapack`` alone: importing the ``scipy.linalg``
+package loads some 300 more modules and takes longer than the rest of a
+``qbg solve`` process.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,23 +124,50 @@ def _dual_state(spectrum: EnergySpectrum, m: MultiplierVector, pw: np.ndarray):
     return log_z, p, mu, pw.T @ (p[:, None] * pw) - np.outer(mu, mu)
 
 
+@functools.cache
+def _lapack():
+    """``(dpotrf, dpotrs)`` from ``scipy.linalg._flapack``, loaded without
+    importing the ``scipy.linalg`` package.  The extension registers itself
+    in ``sys.modules`` as it loads; it is taken out again, so that a later
+    ``import scipy.linalg`` loads it the usual way, as a package attribute."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        spec = scipy and importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(p, "linalg") for p in scipy.submodule_search_locations]
+        )
+        if spec is None:
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules.pop(name, None)
+    return module.dpotrf, module.dpotrs
+
+
 def _newton_direction(h: np.ndarray, residual: np.ndarray, ridge_floor: float):
     """Solve (H + ridge*I) d = residual; ridge only on factorization failure,
-    escalated x10 up to 1e-6."""
-    # imported here so only solves pay for it; numpy's Cholesky differs in bits
-    import scipy.linalg
+    escalated x10 up to 1e-6.  A non-finite H, residual or factor raises
+    ``ValueError``."""
+    potrf, potrs = _lapack()
+    # the calls and checks of scipy.linalg.cho_factor(lower=True) and
+    # cho_solve; numpy's Cholesky differs in bits
+    np.asarray_chkfinite(h)
     n = h.shape[0]
     ridge = 0.0
     while True:
-        try:
-            factor = scipy.linalg.cho_factor(
-                h + ridge * np.eye(n) if ridge > 0 else h, lower=True
+        factor, info = potrf(h + ridge * np.eye(n) if ridge > 0 else h, lower=1, clean=0)
+        if info == 0:
+            direction, info = potrs(
+                np.asarray_chkfinite(factor), np.asarray_chkfinite(residual), lower=1
             )
-            return scipy.linalg.cho_solve(factor, residual)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-            ridge = ridge_floor if ridge == 0 else ridge * 10
-            if ridge > _MAX_RIDGE or ridge == 0:
-                return None
+            if info == 0:
+                return direction
+        if info < 0:
+            raise ValueError(f"LAPACK reported an illegal value in argument {-info}")
+        ridge = ridge_floor if ridge == 0 else ridge * 10
+        if ridge > _MAX_RIDGE or ridge == 0:
+            return None
 
 
 def solve_multipliers(

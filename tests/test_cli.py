@@ -80,6 +80,13 @@ class TestMap:
         assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
         assert not out.exists()
 
+    def test_q_one_terminates_at_large_beta(self, tmp_path):
+        # beta**2 = 1e400 is not a float, but beta_2 = 0 * beta**2 / 2 is 0
+        out = tmp_path / "map.csv"
+        result = run_cli("map", "--q", "1", "--beta", "1e200", "--order", "2", "--out", out)
+        assert result.returncode == 0
+        assert parse_report(out)[2] == [["1", "1e+200"], ["2", "0.0"]]
+
 
 class TestClayton:
     def test_rows_and_q_comment(self, tmp_path):
@@ -353,17 +360,25 @@ class TestConfigValueTypes:
         assert len(rows) == 3
 
 
-def test_import_loads_no_scipy():
-    """Every ``qbg`` process pays for what ``import qbg.cli`` loads; scipy is
-    left to the solver, which imports it when it runs."""
+def test_import_loads_no_scipy(tmp_path, spectrum_file):
+    """Every ``qbg`` process pays for what ``import qbg.cli`` loads, and no
+    process imports scipy, not even ``solve``: the solver loads LAPACK from
+    the extension module ``scipy.linalg._flapack`` by file location, because
+    the ``scipy.linalg`` package takes longer to import than the rest of a
+    ``solve`` process."""
     src = Path(__file__).parents[1] / "src"
     code = ("import qbg, qbg.cli, sys; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "print(loaded()); qbg.cli.main(sys.argv[1:]); print(loaded())")
+    out = tmp_path / "solve.csv"
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
+        [sys.executable, "-c", code, "solve", "--spectrum", str(spectrum_file),
+         "--targets", "2,5.5", "--out", str(out)],
+        capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(src)}, check=True,
     )
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.split("\n") == ["[]", "[]", ""]
+    assert parse_report(out)[0]["converged"] == "true"
 
 
 RECORDED = json.loads(

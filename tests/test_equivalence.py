@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qbg import (
     MAX_ORDER,
+    EquivalenceReport,
     MultiplierVector,
     QParams,
     clayton_multipliers,
@@ -21,6 +22,7 @@ from qbg import (
     q_distribution,
     q_to_multipliers,
 )
+from qbg.equivalence import _mapped
 from qbg.errors import OrderTooLarge, OutsideConvergenceDomain, ZeroLeadingMultiplier
 from qbg.extbg import ClaytonParams
 
@@ -52,11 +54,26 @@ class TestQToMultipliers:
         m = q_to_multipliers(QParams(Fraction(49, 50), Fraction(1)), 2)
         assert m.coeffs == (Fraction(1), Fraction(1, 100))
 
-    @pytest.mark.parametrize("q, beta, n", [(0.5, 1e200, 2), (1.0, 1e200, 2),
-                                            (-1e200, 1e-100, 3)])
+    @pytest.mark.parametrize("q, beta, n", [(0.5, 1e200, 2), (-1e200, 1e-100, 3)])
     def test_out_of_float_range_names_the_order(self, q, beta, n):
         with pytest.raises(ValueError, match=f"multiplier beta_{n} = "):
             q_to_multipliers(QParams(q, beta), 4)
+
+    def test_q_one_terminates_at_any_beta(self):
+        # beta_n = 0 exactly for n >= 2, although beta**2 = 1e400 is not a float
+        assert q_to_multipliers(QParams(1.0, 1e200), 4).coeffs == (1e200, 0.0, 0.0, 0.0)
+
+    def test_q_one_terminates_in_exact_types(self):
+        big = Fraction(10) ** 200
+        m = q_to_multipliers(QParams(Fraction(1), big), 3)
+        assert m.coeffs == (big, 0, 0)
+        assert all(type(c) is Fraction for c in m.coeffs)
+
+    def test_underflowed_factor_is_not_a_zero(self):
+        # (1-q)**2 = 1e-400 underflows to 0.0, but beta_3 = 1e-400 * 1e600 / 3
+        # is not 0: only an exact q = 1 short-cuts the overflow check
+        with pytest.raises(ValueError, match="multiplier beta_3 = "):
+            _mapped(1e-200, 1e200, 3)
 
 
 class TestMultipliersToQ:
@@ -204,10 +221,17 @@ class TestConvergenceDomainRatio:
 
 class TestEquivalenceReport:
     def test_multiplier_past_float_range_is_a_value_error(self):
-        # q = 1: beta_2 is mathematically 0, but beta**2 = 1e400 is not a float
+        # beta**2 = 1e400 is not a float, and (1-q)*beta**2/2 is not either
         s = make_spectrum([0.0, 1e-300], [1, 1])
         with pytest.raises(ValueError, match="multiplier beta_2 = "):
-            equivalence_report(s, QParams(1.0, 1e200), 2)
+            equivalence_report(s, QParams(0.5, 1e200), 2)
+
+    def test_q_one_with_large_beta_is_exact(self):
+        # q = 1: beta_2 is exactly 0 although beta**2 = 1e400 is not a float,
+        # so every truncation is the Boltzmann distribution itself
+        s = make_spectrum([0.0, 1e-300], [1, 1])
+        report = equivalence_report(s, QParams(1.0, 1e200), 2)
+        assert report == EquivalenceReport((1, 2), (0.0, 0.0), 0.0)
 
     def test_peak_holds_at_most_six_and_a_half_level_arrays(self):
         # with the spectrum's caches warm: the exact probabilities, the running
