@@ -8,7 +8,9 @@ error nothing is written; the error name and message go to stderr and the
 exit status is nonzero.
 
 Parameters may come from flags or from a JSON config file (``--config``);
-flags win on conflict.
+flags win on conflict.  Each parameter is declared once, in ``_PARAMS``:
+its flag, its help text, and the conversion and checks its value gets,
+whichever source it came from.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,46 +43,26 @@ from .maxent import SolverOptions, solve_multipliers
 from .qstat import QParams, log_weights, escort_energy, q_distribution, tsallis_entropy
 from .spectrum import load_spectrum
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    spectrum: str | None = None
-    multipliers: str | None = None
-    q: float | None = None
-    beta: float | None = None
-    delta: float | None = None
-    order: int | None = None
-    max_order: int | None = None
-    targets: tuple[float, ...] | None = None
-    tol: float | None = None
-    out: str | None = None
-
-    def __post_init__(self):
-        if self.subcommand not in SUBCOMMANDS:
-            raise ValueError(f"unknown subcommand {self.subcommand!r}")
-        for name in ("q", "beta", "delta", "tol"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"--{name} must be finite, got {value!r}")
-        if self.targets is not None:
-            if len(self.targets) == 0:
-                raise ValueError("--targets must list at least one moment")
-            if any(not math.isfinite(t) for t in self.targets):
-                raise ValueError("--targets entries must be finite")
-
 
 def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _require(config: RunConfig, *names: str):
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _require(config: argparse.Namespace, *names: str):
     for name in names:
         if getattr(config, name) is None:
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{config.subcommand} requires {flag}")
+            raise ValueError(f"{config.subcommand} requires {_flag(name)}")
 
 
-def _run_dist_q(config: RunConfig):
+def _multiplier_rows(m) -> list[str]:
+    return [f"{n},{_fmt(c)}" for n, c in enumerate(m.coeffs, start=1)]
+
+
+def _run_dist_q(config: argparse.Namespace):
     _require(config, "spectrum", "q", "beta")
     spectrum = load_spectrum(config.spectrum)
     params = QParams(config.q, config.beta)
@@ -98,7 +79,7 @@ def _run_dist_q(config: RunConfig):
     return meta, "energy,degeneracy,probability,cutoff", rows
 
 
-def _run_dist_ext(config: RunConfig):
+def _run_dist_ext(config: argparse.Namespace):
     _require(config, "spectrum", "multipliers")
     spectrum = load_spectrum(config.spectrum)
     m = load_multipliers(config.multipliers)
@@ -112,16 +93,15 @@ def _run_dist_ext(config: RunConfig):
     return meta, "energy,degeneracy,probability", rows
 
 
-def _run_map(config: RunConfig):
+def _run_map(config: argparse.Namespace):
     _require(config, "q", "beta", "order")
     m = q_to_multipliers(QParams(config.q, config.beta), config.order)
     meta = [("q", _fmt(config.q)), ("beta", _fmt(config.beta)),
             ("order", str(config.order))]
-    rows = [f"{n},{_fmt(c)}" for n, c in enumerate(m.coeffs, start=1)]
-    return meta, "n,beta_n", rows
+    return meta, "n,beta_n", _multiplier_rows(m)
 
 
-def _run_invert_map(config: RunConfig):
+def _run_invert_map(config: argparse.Namespace):
     _require(config, "multipliers")
     tol = 1e-9 if config.tol is None else config.tol
     m = load_multipliers(config.multipliers)
@@ -132,16 +112,15 @@ def _run_invert_map(config: RunConfig):
     return meta, "q,beta", rows
 
 
-def _run_clayton(config: RunConfig):
+def _run_clayton(config: argparse.Namespace):
     _require(config, "beta", "delta")
     m = clayton_multipliers(ClaytonParams(config.beta, config.delta))
     meta = [("beta", _fmt(config.beta)), ("delta", _fmt(config.delta)),
             ("q", _fmt(clayton_to_q(config.delta)))]
-    rows = [f"{n},{_fmt(c)}" for n, c in enumerate(m.coeffs, start=1)]
-    return meta, "n,beta_n", rows
+    return meta, "n,beta_n", _multiplier_rows(m)
 
 
-def _run_equiv(config: RunConfig):
+def _run_equiv(config: argparse.Namespace):
     _require(config, "spectrum", "q", "beta", "max_order")
     spectrum = load_spectrum(config.spectrum)
     params = QParams(config.q, config.beta)
@@ -153,7 +132,7 @@ def _run_equiv(config: RunConfig):
     return meta, "N,sup_distance", rows
 
 
-def _run_solve(config: RunConfig):
+def _run_solve(config: argparse.Namespace):
     _require(config, "spectrum", "targets")
     spectrum = load_spectrum(config.spectrum)
     targets = MomentVector(config.targets)
@@ -168,11 +147,10 @@ def _run_solve(config: RunConfig):
         ("final_step_size", _fmt(report.final_step_size)),
         ("rescale_factor", _fmt(report.rescale_factor)),
     ]
-    rows = [f"{n},{_fmt(c)}" for n, c in enumerate(m.coeffs, start=1)]
-    return meta, "n,beta_n", rows
+    return meta, "n,beta_n", _multiplier_rows(m)
 
 
-def _run_entropy(config: RunConfig):
+def _run_entropy(config: argparse.Namespace):
     _require(config, "spectrum")
     spectrum = load_spectrum(config.spectrum)
     has_q = config.q is not None or config.beta is not None
@@ -217,10 +195,9 @@ _HANDLERS = {
     "solve": _run_solve,
     "entropy": _run_entropy,
 }
-SUBCOMMANDS = tuple(_HANDLERS)
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     """Execute one subcommand and write its CSV report; returns 0 on success.
 
     The report text is assembled fully before the file is opened, so a
@@ -256,13 +233,28 @@ def _targets(value) -> tuple[float, ...]:
     return tuple(_number(part) for part in parts)
 
 
-#: How each parameter is converted, and what a value of it must be.
-_CONVERSIONS = {
-    **dict.fromkeys(("spectrum", "multipliers", "out"), (os.fspath, "a path")),
-    **dict.fromkeys(("q", "beta", "delta", "tol"), (_number, "a number")),
-    **dict.fromkeys(("order", "max_order"), (_integer, "an integer")),
-    "targets": (_targets, "a list of numbers"),
+#: A kind of value: its converter, what a value must be, its flag's type.
+_PATH = (os.fspath, "a path", None)
+_NUMBER = (_number, "a number", float)
+_INTEGER = (_integer, "an integer", int)
+
+#: Every parameter, in --help order: how its value is converted, what a value
+#: must be, the argparse type of its flag, and its help text.
+_PARAMS = {
+    "spectrum": (*_PATH, "spectrum file: 'energy,degeneracy' per line"),
+    "multipliers": (*_PATH, "multiplier file: 'n,beta_n' per line"),
+    "q": (*_NUMBER, "entropic index"),
+    "beta": (*_NUMBER, "inverse temperature"),
+    "delta": (*_NUMBER, "quadratic correction"),
+    "order": (*_INTEGER, "multiplier order"),
+    "max_order": (*_INTEGER, "largest truncation order"),
+    "targets": (_targets, "a list of numbers", None, "comma-separated raw moments"),
+    "tol": (*_NUMBER, "tolerance"),
+    "out": (*_PATH, "output CSV path"),
 }
+#: Values are converted one converter at a time, in this order; of several
+#: values that fail, the first in this order is the one reported.
+_CONVERSION_ORDER = (os.fspath, _number, _integer, _targets)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,26 +265,21 @@ def build_parser() -> argparse.ArgumentParser:
         "moment-matching solver.  Output is a deterministic CSV report.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
-        p.add_argument("--spectrum", help="spectrum file: 'energy,degeneracy' per line")
-        p.add_argument("--multipliers", help="multiplier file: 'n,beta_n' per line")
-        p.add_argument("--q", type=float, help="entropic index")
-        p.add_argument("--beta", type=float, help="inverse temperature")
-        p.add_argument("--delta", type=float, help="quadratic correction")
-        p.add_argument("--order", type=int, help="multiplier order")
-        p.add_argument("--max-order", type=int, dest="max_order", help="largest truncation order")
-        p.add_argument("--targets", help="comma-separated raw moments")
-        p.add_argument("--tol", type=float, help="tolerance")
-        p.add_argument("--out", help="output CSV path")
+        for key, (_, _, flag_type, help_text) in _PARAMS.items():
+            p.add_argument(_flag(key), type=flag_type, help=help_text)
         p.add_argument("--config", help="JSON config file; flags win on conflict")
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
+def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Flags, and the config file for what they leave unset, each value
-    converted for its field; a value that does not convert is a ValueError."""
-    values = {key: getattr(args, key) for key in _CONVERSIONS}
+    converted and checked; a value that fails is a ValueError.  Every
+    conversion comes first, then the finiteness checks, then the checks on
+    ``--targets``: of several bad values, the first to fail in that order is
+    the one reported."""
+    values = {key: getattr(args, key) for key in _PARAMS}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_values = json.load(fh)
@@ -304,15 +291,25 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
                 raise ValueError(f"unknown config key {key!r}")
             if values[key] is None:
                 values[key] = value
-    for key, (convert, kind) in _CONVERSIONS.items():
+    for key in sorted(_PARAMS, key=lambda key: _CONVERSION_ORDER.index(_PARAMS[key][0])):
+        convert, must_be, _, _ = _PARAMS[key]
         value = values[key]
         if value is not None:
             try:
                 values[key] = convert(value)
             except (TypeError, ValueError, OverflowError):
-                flag = "--" + key.replace("_", "-")
-                raise ValueError(f"{flag} must be {kind}, got {value!r}") from None
-    return RunConfig(subcommand=args.subcommand, **values)
+                raise ValueError(f"{_flag(key)} must be {must_be}, got {value!r}") from None
+    for key, (convert, *_) in _PARAMS.items():
+        value = values[key]
+        if convert is _number and value is not None and not math.isfinite(value):
+            raise ValueError(f"{_flag(key)} must be finite, got {value!r}")
+    targets = values["targets"]
+    if targets is not None:
+        if len(targets) == 0:
+            raise ValueError("--targets must list at least one moment")
+        if any(not math.isfinite(t) for t in targets):
+            raise ValueError("--targets entries must be finite")
+    return argparse.Namespace(subcommand=args.subcommand, **values)
 
 
 def main(argv=None) -> int:

@@ -330,6 +330,16 @@ def central_moments(
     return MomentVector(tuple(values))
 
 
+def _binomial_shift(coeffs, x) -> list[Fraction]:
+    """Exact coefficients, in powers of y, of ``sum_k c_k * (y + x)**k`` for
+    ``coeffs`` = (c_1, ..., c_N): entry n is
+    ``sum_{k>=n} C(k, n) * c_k * x**(k-n)``, for n = 0..N."""
+    c = [Fraction(0)] + [Fraction(v) for v in coeffs]
+    x = Fraction(x)
+    return [sum(math.comb(k, n) * c[k] * x ** (k - n) for k in range(n, len(c)))
+            for n in range(len(c))]
+
+
 def center_multipliers(m: MultiplierVector, center) -> CenteredMultiplierVector:
     """Re-express raw multipliers around a reference energy.
 
@@ -337,17 +347,8 @@ def center_multipliers(m: MultiplierVector, center) -> CenteredMultiplierVector:
     :func:`uncenter_multipliers` at the same center.
     """
     _require_finite_center(center)
-    n_max = m.order
-    coeffs = [Fraction(c) for c in m.coeffs]
-    cc = Fraction(center)
-    out = []
-    for n in range(1, n_max + 1):
-        acc = sum(
-            math.comb(k, n) * coeffs[k - 1] * cc ** (k - n)
-            for k in range(n, n_max + 1)
-        )
-        out.append(float(acc))
-    return CenteredMultiplierVector(tuple(out), float(center))
+    shifted = _binomial_shift(m.coeffs, center)
+    return CenteredMultiplierVector(tuple(float(b) for b in shifted[1:]), float(center))
 
 
 def uncenter_multipliers(
@@ -360,18 +361,8 @@ def uncenter_multipliers(
     shift is absorbed by normalization, so the distribution built from the raw
     vector coincides with the centered form.
     """
-    n_max = c.order
-    coeffs = [Fraction(x) for x in c.coeffs]
-    neg_center = -Fraction(c.center)
-    out = []
-    for k in range(1, n_max + 1):
-        acc = sum(
-            math.comb(n, k) * coeffs[n - 1] * neg_center ** (n - k)
-            for n in range(k, n_max + 1)
-        )
-        out.append(float(acc))
-    shift = float(sum(coeffs[n - 1] * neg_center ** n for n in range(1, n_max + 1)))
-    return MultiplierVector(tuple(out)), shift
+    shifted = _binomial_shift(c.coeffs, -Fraction(c.center))
+    return MultiplierVector(tuple(float(b) for b in shifted[1:])), float(shifted[0])
 
 
 def clayton_multipliers(p: ClaytonParams) -> MultiplierVector:

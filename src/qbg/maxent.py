@@ -15,10 +15,12 @@ solution) and :func:`dual_hessian` returns the covariance matrix.
 :func:`solve_multipliers` runs damped Newton on F: energies are first
 rescaled into [-1, 1] (raw monomials on wide spectra make the Hessian
 numerically singular), the step solves ``(H + ridge*I) d = residual`` with a
-ridge added only when the Cholesky factorization fails, and an Armijo
-backtracking line search keeps F non-increasing.  Recovered multipliers are
-mapped back by ``b_n -> b_n / s**n``.  Every call is deterministic and holds
-no global state.
+ridge added only when the Cholesky factorization fails (1e-12, escalated x10
+up to 1e-6), and an Armijo backtracking line search (constant 1e-4, step
+halved) keeps F non-increasing.  These are fixed constants; only the
+tolerance and the iteration budget are :class:`SolverOptions`.  Recovered
+multipliers are mapped back by ``b_n -> b_n / s**n``.  Every call is
+deterministic and holds no global state.
 
 The Cholesky step calls LAPACK ``dpotrf``/``dpotrs`` exactly as
 ``scipy.linalg.cho_factor(lower=True)`` and ``cho_solve`` do, from the
@@ -55,32 +57,26 @@ from .extbg import (
 )
 from .spectrum import EnergySpectrum, rescale
 
+_RIDGE_FLOOR = 1e-12
 _MAX_RIDGE = 1e-6
+_ARMIJO_C = 1e-4
+_BACKTRACK_FACTOR = 0.5
 _MIN_STEP = 1e-16
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Damped-Newton settings; tol applies to the moment-residual sup norm
-    of the internally rescaled problem."""
+    """Damped-Newton settings: ``tol`` applies to the moment-residual sup norm
+    of the internally rescaled problem, ``max_iter`` caps the Newton steps."""
 
     tol: float = 1e-10
     max_iter: int = 200
-    ridge: float = 1e-12
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
 
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
         if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if not self.ridge >= 0:
-            raise ValueError(f"ridge must be >= 0, got {self.ridge!r}")
-        if not 0 < self.armijo_c < 1:
-            raise ValueError("armijo_c must be in (0, 1)")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -100,7 +96,7 @@ def dual_gradient(
         raise OrderMismatch(
             f"multiplier order {m.order} but target order {targets.order}"
         )
-    _, _, mu, _ = _dual_state(spectrum, m, _power_matrix(spectrum, m.order))
+    _, mu, _ = _dual_state(spectrum, m, _power_matrix(spectrum, m.order))
     return mu - np.asarray(targets.values)
 
 
@@ -111,17 +107,17 @@ def dual_hessian(
     symmetric positive semidefinite, equals the Hessian of F."""
     if order != m.order:
         raise OrderMismatch(f"multiplier order {m.order} but requested {order}")
-    return _dual_state(spectrum, m, _power_matrix(spectrum, order))[3]
+    return _dual_state(spectrum, m, _power_matrix(spectrum, order))[2]
 
 
 def _dual_state(spectrum: EnergySpectrum, m: MultiplierVector, pw: np.ndarray):
-    """``(log Z, p, mu, H)`` at multipliers ``m``: log-partition, per-level
-    probabilities, raw moments ``mu_n = <E**n>`` and the covariance Hessian;
-    ``pw`` is ``_power_matrix(spectrum, m.order)``."""
+    """``(log Z, mu, H)`` at multipliers ``m``: log-partition, raw moments
+    ``mu_n = <E**n>`` and the covariance Hessian; ``pw`` is
+    ``_power_matrix(spectrum, m.order)``."""
     dist, log_z = ext_distribution(spectrum, m)
     p = dist.probs
     mu = p @ pw
-    return log_z, p, mu, pw.T @ (p[:, None] * pw) - np.outer(mu, mu)
+    return log_z, mu, pw.T @ (p[:, None] * pw) - np.outer(mu, mu)
 
 
 @functools.cache
@@ -217,7 +213,7 @@ def solve_multipliers(
     final_step = 0.0
     why = None
     while True:
-        log_z, _, mu, h = _dual_state(scaled, MultiplierVector(tuple(b)), pw)
+        log_z, mu, h = _dual_state(scaled, MultiplierVector(tuple(b)), pw)
         residual = mu - t_scaled
         residual_norm = float(np.max(np.abs(residual)))
         dual_value = log_z + float(b @ t_scaled)
@@ -227,7 +223,7 @@ def solve_multipliers(
         if iterations >= opts.max_iter:
             why = "iteration budget exhausted"
             break
-        direction = _newton_direction(h, residual, opts.ridge)
+        direction = _newton_direction(h, residual, _RIDGE_FLOOR)
         if direction is None:
             why = "Hessian factorization failed beyond the ridge cap"
             break
@@ -238,9 +234,9 @@ def solve_multipliers(
             trial = b + step * direction
             trial_log_z = log_partition(scaled, MultiplierVector(tuple(trial)))
             trial_dual = trial_log_z + float(trial @ t_scaled)
-            if math.isfinite(trial_dual) and trial_dual <= dual_value + opts.armijo_c * step * slope:
+            if math.isfinite(trial_dual) and trial_dual <= dual_value + _ARMIJO_C * step * slope:
                 break
-            step *= opts.backtrack_factor
+            step *= _BACKTRACK_FACTOR
         if step < _MIN_STEP:
             why = "line search stalled"
             break

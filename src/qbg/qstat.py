@@ -138,5 +138,7 @@ def escort_energy(dist: Distribution, spectrum: EnergySpectrum, q: float) -> flo
 
 def product_distribution(a: Distribution, b: Distribution) -> Distribution:
     """Joint distribution of two independent systems, row-major:
-    entry ``i*len(b) + j`` equals ``a_i * b_j``."""
-    return Distribution(np.outer(a.probs, b.probs).ravel())
+    entry ``i*len(b) + j`` equals ``a_i * b_j``, each factor first divided
+    by its own sum: an accepted factor's sum may be off by up to the
+    normalization tolerance, and an unscaled product's by both errors."""
+    return Distribution(np.outer(a.probs / a.probs.sum(), b.probs / b.probs.sum()).ravel())

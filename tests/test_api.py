@@ -4,6 +4,7 @@
 name means editing this test.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -62,6 +63,11 @@ def test_all_is_pinned():
 def test_every_public_name_resolves():
     for name in qbg.__all__:
         assert getattr(qbg, name) is not None
+
+
+def test_solver_options_fields_are_pinned():
+    # the ridge floor, Armijo constant and backtrack factor are constants
+    assert tuple(f.name for f in dataclasses.fields(qbg.SolverOptions)) == ("tol", "max_iter")
 
 
 @pytest.mark.parametrize("script", ["truncation_sweep.py", "solver_demo.py"])

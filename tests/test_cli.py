@@ -360,6 +360,53 @@ class TestConfigValueTypes:
         assert len(rows) == 3
 
 
+class TestInputChecks:
+    """A non-finite number or a bad ``--targets``, given as a flag or in the
+    config file, ends with its one-line ``ValueError``, exit 1 and no report."""
+
+    @pytest.mark.parametrize("subcommand, flags, values, message", [
+        ("map", ["--q", "nan", "--beta", "1", "--order", "2"], None,
+         "--q must be finite, got nan"),
+        ("map", ["--beta", "inf", "--order", "2"], {"q": 0.98},
+         "--beta must be finite, got inf"),
+        ("clayton", ["--beta", "1", "--delta=-inf"], None,
+         "--delta must be finite, got -inf"),
+        ("solve", ["--tol", "nan", "--targets", "2"], None,
+         "--tol must be finite, got nan"),
+        ("map", ["--beta", "1", "--order", "2"], {"q": math.inf},
+         "--q must be finite, got inf"),
+        ("map", ["--q", "0.98", "--order", "2"], {"beta": math.nan},
+         "--beta must be finite, got nan"),
+        ("clayton", ["--beta", "1"], {"delta": math.nan},
+         "--delta must be finite, got nan"),
+        ("solve", ["--targets", "2"], {"tol": -math.inf},
+         "--tol must be finite, got -inf"),
+        ("solve", [], {"targets": []}, "--targets must list at least one moment"),
+        ("solve", ["--targets", "2,nan"], None, "--targets entries must be finite"),
+        ("solve", [], {"targets": [2.0, math.inf]}, "--targets entries must be finite"),
+        # several bad values: conversions first (paths, numbers, integers,
+        # --targets), then finiteness, then the --targets checks
+        ("solve", ["--tol", "inf"], {"targets": []}, "--tol must be finite, got inf"),
+        ("map", ["--q", "nan", "--beta", "1"], {"order": 2.5},
+         "--order must be an integer, got 2.5"),
+        ("map", ["--q", "0.98", "--beta", "1"], {"order": 2.5, "tol": "x"},
+         "--tol must be a number, got 'x'"),
+    ])
+    def test_input_checks(self, tmp_path, capsys, spectrum_file, subcommand, flags,
+                          values, message):
+        args = [subcommand, *flags]
+        if subcommand == "solve":
+            args += ["--spectrum", str(spectrum_file)]
+        if values is not None:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps(values))
+            args += ["--config", str(config)]
+        out = tmp_path / "x.csv"
+        assert main([*args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"ValueError: {message}\n"
+        assert not out.exists()
+
+
 def test_import_loads_no_scipy(tmp_path, spectrum_file):
     """Every ``qbg`` process pays for what ``import qbg.cli`` loads, and no
     process imports scipy, not even ``solve``: the solver loads LAPACK from

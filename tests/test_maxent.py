@@ -125,7 +125,6 @@ class TestDualHessian:
 class TestSolverOptions:
     @pytest.mark.parametrize("field, value", [
         ("tol", math.inf), ("tol", math.nan), ("tol", 0.0), ("tol", -1e-10),
-        ("ridge", math.nan), ("ridge", -1.0),
         ("max_iter", 2.5), ("max_iter", math.nan), ("max_iter", 0), ("max_iter", 2.0),
     ])
     def test_rejected(self, field, value):
@@ -134,7 +133,6 @@ class TestSolverOptions:
 
     def test_integer_max_iter_accepted(self):
         assert SolverOptions(max_iter=np.int64(3)).max_iter == 3
-        assert SolverOptions(max_iter=1, ridge=0.0).ridge == 0.0
 
 
 class TestSolveMultipliers:

@@ -403,3 +403,13 @@ class TestProductDistribution:
         a = Distribution((0.8, 0.2))
         b = Distribution((0.5, 0.5))
         assert tuple(product_distribution(a, b).probs) == (0.4, 0.4, 0.1, 0.1)
+
+    def test_factors_off_by_the_tolerance_are_accepted(self):
+        # each factor sums to 1 + 9e-13, inside the tolerance; the unscaled
+        # product would sum to 1 + 1.8e-12, outside it
+        probs = np.full(10, 0.1)
+        probs[0] += 9e-13
+        d = Distribution(probs)
+        joint = product_distribution(d, d).probs
+        assert abs(joint.sum() - 1.0) <= 1e-15
+        assert joint == pytest.approx(np.outer(probs, probs).ravel(), rel=1e-11)
