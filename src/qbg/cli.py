@@ -1,65 +1,27 @@
-"""Command-line front end emitting deterministic CSV reports.
+"""The CLI subcommands that evaluate distributions on a spectrum, and its entry.
 
-Every run writes exactly one CSV file: a ``#``-prefixed metadata header
-(tool version, subcommand, parameters), a column-name row, then data rows.
-Floats are rendered with ``repr`` (shortest round-trip form), line endings
-are LF, and identical configurations produce byte-identical files.  On any
-error nothing is written; the error name and message go to stderr and the
-exit status is nonzero.
-
-Parameters may come from flags or from a JSON config file (``--config``);
-flags win on conflict.  Each parameter is declared once, in ``_PARAMS``:
-its flag, its help text, and the conversion and checks its value gets,
-whichever source it came from.
+``dist-q``, ``dist-ext``, ``equiv``, ``solve`` and ``entropy`` have their
+handlers here; the parser, the config merge, the report writer and the
+numpy-free subcommands are in :mod:`qbg.commands`, whose ``main`` is
+importable from here as ``qbg.cli.main``.  Importing this module loads
+numpy and every numeric module of the package (``spectrum``, ``extbg``,
+``qstat``, ``equivalence``, ``maxent``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import math
-import os
 import sys
 
 import numpy as np
 
-from . import __version__
-from .equivalence import (
-    clayton_to_q,
-    equivalence_report,
-    multipliers_to_q,
-    q_to_multipliers,
-)
-from .errors import QbgError
-from .extbg import (
-    ClaytonParams,
-    MomentVector,
-    bg_entropy,
-    clayton_multipliers,
-    ext_distribution,
-    load_multipliers,
-)
+from .commands import _fmt, _multiplier_rows, _require, main
+from .equivalence import equivalence_report
+from .extbg import bg_entropy, ext_distribution
 from .maxent import SolverOptions, solve_multipliers
-from .qstat import QParams, log_weights, escort_energy, q_distribution, tsallis_entropy
+from .params import MomentVector, QParams, load_multipliers
+from .qstat import escort_energy, log_weights, q_distribution, tsallis_entropy
 from .spectrum import load_spectrum
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
-
-
-def _require(config: argparse.Namespace, *names: str):
-    for name in names:
-        if getattr(config, name) is None:
-            raise ValueError(f"{config.subcommand} requires {_flag(name)}")
-
-
-def _multiplier_rows(m) -> list[str]:
-    return [f"{n},{_fmt(c)}" for n, c in enumerate(m.coeffs, start=1)]
 
 
 def _run_dist_q(config: argparse.Namespace):
@@ -91,33 +53,6 @@ def _run_dist_ext(config: argparse.Namespace):
                                 dist.probs.tolist())
     ]
     return meta, "energy,degeneracy,probability", rows
-
-
-def _run_map(config: argparse.Namespace):
-    _require(config, "q", "beta", "order")
-    m = q_to_multipliers(QParams(config.q, config.beta), config.order)
-    meta = [("q", _fmt(config.q)), ("beta", _fmt(config.beta)),
-            ("order", str(config.order))]
-    return meta, "n,beta_n", _multiplier_rows(m)
-
-
-def _run_invert_map(config: argparse.Namespace):
-    _require(config, "multipliers")
-    tol = 1e-9 if config.tol is None else config.tol
-    m = load_multipliers(config.multipliers)
-    params = multipliers_to_q(m, tol)
-    meta = [("order", str(m.order)), ("tol", _fmt(tol)),
-            ("matched", "true" if params is not None else "false")]
-    rows = [] if params is None else [f"{_fmt(params.q)},{_fmt(params.beta)}"]
-    return meta, "q,beta", rows
-
-
-def _run_clayton(config: argparse.Namespace):
-    _require(config, "beta", "delta")
-    m = clayton_multipliers(ClaytonParams(config.beta, config.delta))
-    meta = [("beta", _fmt(config.beta)), ("delta", _fmt(config.delta)),
-            ("q", _fmt(clayton_to_q(config.delta)))]
-    return meta, "n,beta_n", _multiplier_rows(m)
 
 
 def _run_equiv(config: argparse.Namespace):
@@ -188,138 +123,10 @@ def _run_entropy(config: argparse.Namespace):
 _HANDLERS = {
     "dist-q": _run_dist_q,
     "dist-ext": _run_dist_ext,
-    "map": _run_map,
-    "invert-map": _run_invert_map,
-    "clayton": _run_clayton,
     "equiv": _run_equiv,
     "solve": _run_solve,
     "entropy": _run_entropy,
 }
-
-
-def run(config: argparse.Namespace) -> int:
-    """Execute one subcommand and write its CSV report; returns 0 on success.
-
-    The report text is assembled fully before the file is opened, so a
-    failing run leaves no partial output behind.
-    """
-    if config.out is None:
-        raise ValueError(f"{config.subcommand} requires --out")
-    meta, header, rows = _HANDLERS[config.subcommand](config)
-    lines = [f"# tool: qbg {__version__}", f"# subcommand: {config.subcommand}"]
-    lines.extend(f"# {key}={value}" for key, value in meta)
-    lines.append(header)
-    lines.extend(rows)
-    text = "\n".join(lines) + "\n"
-    with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    return 0
-
-
-def _number(value) -> float:
-    if isinstance(value, bool):
-        raise TypeError("a boolean is not a number")
-    return float(value)
-
-
-def _integer(value) -> int:
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise TypeError(f"{value!r} is not an integer")
-    return int(value)
-
-
-def _targets(value) -> tuple[float, ...]:
-    parts = value.split(",") if isinstance(value, str) else value
-    return tuple(_number(part) for part in parts)
-
-
-#: A kind of value: its converter, what a value must be, its flag's type.
-_PATH = (os.fspath, "a path", None)
-_NUMBER = (_number, "a number", float)
-_INTEGER = (_integer, "an integer", int)
-
-#: Every parameter, in --help order: how its value is converted, what a value
-#: must be, the argparse type of its flag, and its help text.
-_PARAMS = {
-    "spectrum": (*_PATH, "spectrum file: 'energy,degeneracy' per line"),
-    "multipliers": (*_PATH, "multiplier file: 'n,beta_n' per line"),
-    "q": (*_NUMBER, "entropic index"),
-    "beta": (*_NUMBER, "inverse temperature"),
-    "delta": (*_NUMBER, "quadratic correction"),
-    "order": (*_INTEGER, "multiplier order"),
-    "max_order": (*_INTEGER, "largest truncation order"),
-    "targets": (_targets, "a list of numbers", None, "comma-separated raw moments"),
-    "tol": (*_NUMBER, "tolerance"),
-    "out": (*_PATH, "output CSV path"),
-}
-#: Values are converted one converter at a time, in this order; of several
-#: values that fail, the first in this order is the one reported.
-_CONVERSION_ORDER = (os.fspath, _number, _integer, _targets)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qbg",
-        description="Distributions on finite energy spectra: q-exponential, "
-        "exponential-polynomial, the multiplier mapping between them, and a "
-        "moment-matching solver.  Output is a deterministic CSV report.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name)
-        for key, (_, _, flag_type, help_text) in _PARAMS.items():
-            p.add_argument(_flag(key), type=flag_type, help=help_text)
-        p.add_argument("--config", help="JSON config file; flags win on conflict")
-    return parser
-
-
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Flags, and the config file for what they leave unset, each value
-    converted and checked; a value that fails is a ValueError.  Every
-    conversion comes first, then the finiteness checks, then the checks on
-    ``--targets``: of several bad values, the first to fail in that order is
-    the one reported."""
-    values = {key: getattr(args, key) for key in _PARAMS}
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_values = json.load(fh)
-        if not isinstance(file_values, dict):
-            raise ValueError("config file must hold a JSON object")
-        for key, value in file_values.items():
-            key = key.replace("-", "_")
-            if key not in values:
-                raise ValueError(f"unknown config key {key!r}")
-            if values[key] is None:
-                values[key] = value
-    for key in sorted(_PARAMS, key=lambda key: _CONVERSION_ORDER.index(_PARAMS[key][0])):
-        convert, must_be, _, _ = _PARAMS[key]
-        value = values[key]
-        if value is not None:
-            try:
-                values[key] = convert(value)
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError(f"{_flag(key)} must be {must_be}, got {value!r}") from None
-    for key, (convert, *_) in _PARAMS.items():
-        value = values[key]
-        if convert is _number and value is not None and not math.isfinite(value):
-            raise ValueError(f"{_flag(key)} must be finite, got {value!r}")
-    targets = values["targets"]
-    if targets is not None:
-        if len(targets) == 0:
-            raise ValueError("--targets must list at least one moment")
-        if any(not math.isfinite(t) for t in targets):
-            raise ValueError("--targets entries must be finite")
-    return argparse.Namespace(subcommand=args.subcommand, **values)
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        config = _merge_config(args)
-        return run(config)
-    except (QbgError, ValueError, OSError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

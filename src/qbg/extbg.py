@@ -11,115 +11,31 @@ are correctly rounded.
 
 All exponent arithmetic runs in log space with a max shift, so spectra with
 exponents up to ~1e4 in magnitude do not overflow.
+
+The vector types, ``MAX_ORDER``, :func:`clayton_multipliers` and
+:func:`load_multipliers` need no numpy; they are defined in
+:mod:`qbg.params` and importable from here as well.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import LengthMismatch, NonFiniteExponent, OrderTooLarge, ParseError
-from .spectrum import Distribution, EnergySpectrum, _field, _pairs
-
-#: Largest supported multiplier order: a multiplier vector with more entries
-#: raises :class:`OrderTooLarge` when it is built.
-MAX_ORDER = 20
-
-
-def _require_order(n: int):
-    if n > MAX_ORDER:
-        raise OrderTooLarge(f"order {n} exceeds the cap of {MAX_ORDER}")
-
-
-def _as_number(x):
-    # normalize numpy scalars to float; keep exact types (int, Fraction) as-is
-    if isinstance(x, (np.floating, np.integer)):
-        return float(x)
-    return x
-
-
-def _finite_tuple(values, what: str, convert=_as_number) -> tuple:
-    """``values`` converted to a tuple of at least one finite number."""
-    values = tuple(convert(v) for v in values)
-    if not values:
-        raise ValueError(f"at least one {what} is required")
-    for v in values:
-        if not math.isfinite(float(v)):
-            raise ValueError(f"{what}s must be finite, got {v!r}")
-    return values
-
-
-@dataclass(frozen=True)
-class MultiplierVector:
-    """Multipliers (beta_1, ..., beta_N), beta_n in units of energy**-n,
-    N <= MAX_ORDER."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        coeffs = _finite_tuple(self.coeffs, "multiplier")
-        _require_order(len(coeffs))
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs)
-
-
-def _require_finite_center(center):
-    if not math.isfinite(float(center)):
-        raise ValueError(f"center must be finite, got {center!r}")
-
-
-@dataclass(frozen=True)
-class CenteredMultiplierVector:
-    """Multipliers for powers of (E - center), at most MAX_ORDER of them."""
-
-    coeffs: tuple
-    center: float
-
-    def __post_init__(self):
-        coeffs = _finite_tuple(self.coeffs, "multiplier")
-        _require_order(len(coeffs))
-        _require_finite_center(self.center)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "center", _as_number(self.center))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs)
-
-
-@dataclass(frozen=True)
-class MomentVector:
-    """Raw moments (mu_1, ..., mu_N), mu_n = <E**n> in units of energy**n."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _finite_tuple(self.values, "moment", float))
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class ClaytonParams:
-    """Inverse temperature beta and the small quadratic correction delta of
-    the modified Boltzmann factor exp(-beta*E - delta*(beta*E)**2)."""
-
-    beta: float
-    delta: float
-
-    def __post_init__(self):
-        if not float(self.beta) > 0 or not math.isfinite(float(self.beta)):
-            raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
-        if not math.isfinite(float(self.delta)):
-            raise ValueError(f"delta must be finite, got {self.delta!r}")
+from .errors import LengthMismatch, NonFiniteExponent
+from .params import (  # noqa: F401  (moved; kept importable from here)
+    MAX_ORDER,
+    CenteredMultiplierVector,
+    ClaytonParams,
+    MomentVector,
+    MultiplierVector,
+    _require_finite_center,
+    clayton_multipliers,
+    load_multipliers,
+)
+from .spectrum import Distribution, EnergySpectrum
 
 
 def _power_matrix(spectrum: EnergySpectrum, order: int) -> np.ndarray:
@@ -363,25 +279,3 @@ def uncenter_multipliers(
     """
     shifted = _binomial_shift(c.coeffs, -Fraction(c.center))
     return MultiplierVector(tuple(float(b) for b in shifted[1:])), float(shifted[0])
-
-
-def clayton_multipliers(p: ClaytonParams) -> MultiplierVector:
-    """Order-2 multipliers (beta, delta*beta**2) of the quadratic-corrected
-    Boltzmann factor exp(-beta*E - delta*(beta*E)**2)."""
-    return MultiplierVector((p.beta, p.delta * p.beta ** 2))
-
-
-def load_multipliers(path) -> MultiplierVector:
-    """Read a multiplier file: one ``n,beta_n`` pair per line, n ascending
-    from 1.  Lines starting with ``#`` and blank lines are ignored."""
-    coeffs: list[float] = []
-    for lineno, left, right in _pairs(path, "n,beta_n"):
-        n = _field(path, lineno, left, int, "order")
-        if n != len(coeffs) + 1:
-            raise ParseError(
-                path, lineno, f"orders must ascend from 1, got {n} after {len(coeffs)}"
-            )
-        coeffs.append(_field(path, lineno, right, float, "multiplier"))
-    if not coeffs:
-        raise ParseError(path, 0, "no multipliers found")
-    return MultiplierVector(tuple(coeffs))

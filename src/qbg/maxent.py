@@ -47,14 +47,8 @@ from .errors import (
     OrderMismatch,
     TooFewLevels,
 )
-from .extbg import (
-    MomentVector,
-    MultiplierVector,
-    _power_matrix,
-    _require_order,
-    ext_distribution,
-    log_partition,
-)
+from .extbg import _power_matrix, ext_distribution, log_partition
+from .params import MomentVector, MultiplierVector, _require_order
 from .spectrum import EnergySpectrum, rescale
 
 _RIDGE_FLOOR = 1e-12

@@ -1,0 +1,291 @@
+"""Parameters of the two families and the closed-form mapping between them.
+
+The q-exponential side is parameterized by :class:`QParams` (q, beta), the
+moment-constrained exponential side by a :class:`MultiplierVector`
+(beta_1, ..., beta_N).  Expanding ``log([1-(1-q)*beta*E]**(1/(1-q)))`` as a
+series in E identifies them through
+
+    beta_n = (1-q)**(n-1) * beta**n / n,
+
+exact term by term inside the domain ``max_i |(1-q)*beta*E_i| < 1`` where the
+logarithm series converges.  The quadratic special case truncates at n = 2 and
+matches the delta-corrected Boltzmann factor with q = 1 - 2*delta.
+
+The mappings use plain Python arithmetic, so exact numeric types (e.g.
+``fractions.Fraction``) pass through unchanged; this lets the closed-form
+identities be checked with zero tolerance.  This module imports no numpy:
+``qbg map``, ``invert-map`` and ``clayton`` run on it alone.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .errors import OrderTooLarge, ParseError, ZeroLeadingMultiplier
+
+#: Largest supported multiplier order: a multiplier vector with more entries
+#: raises :class:`OrderTooLarge` when it is built.
+MAX_ORDER = 20
+
+#: Predicted coefficients smaller than this are compared absolutely
+#: (tolerance 1e-12) instead of relatively in the inverse mapping.
+_ABS_FALLBACK_FLOOR = 1e-300
+_ABS_FALLBACK_TOL = 1e-12
+
+
+def _require_order(n: int):
+    if n > MAX_ORDER:
+        raise OrderTooLarge(f"order {n} exceeds the cap of {MAX_ORDER}")
+
+
+def _require_finite_q(q: float):
+    if not math.isfinite(q):
+        raise ValueError(f"q must be finite, got {q!r}")
+
+
+def _as_number(x):
+    # normalize numpy scalars to float; keep exact types (int, Fraction) as-is.
+    # A numpy scalar exists only once numpy is loaded, so it is not imported here.
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(x, (np.floating, np.integer)):
+        return float(x)
+    return x
+
+
+def _finite_tuple(values, what: str, convert=_as_number) -> tuple:
+    """``values`` converted to a tuple of at least one finite number."""
+    values = tuple(convert(v) for v in values)
+    if not values:
+        raise ValueError(f"at least one {what} is required")
+    for v in values:
+        if not math.isfinite(float(v)):
+            raise ValueError(f"{what}s must be finite, got {v!r}")
+    return values
+
+
+@dataclass(frozen=True)
+class QParams:
+    """Entropic index q and inverse temperature beta (beta = 0 is the
+    infinite-temperature limit and gives the uniform distribution).  The
+    deformation ``(1-q)*beta`` must be finite too: every weight is formed
+    from it."""
+
+    q: float
+    beta: float
+
+    def __post_init__(self):
+        _require_finite_q(self.q)
+        if not math.isfinite(self.beta) or self.beta < 0:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
+        if not math.isfinite((1.0 - self.q) * self.beta):
+            raise ValueError(
+                f"(1-q)*beta must be finite, got q={self.q!r}, beta={self.beta!r}"
+            )
+
+
+@dataclass(frozen=True)
+class MultiplierVector:
+    """Multipliers (beta_1, ..., beta_N), beta_n in units of energy**-n,
+    N <= MAX_ORDER."""
+
+    coeffs: tuple
+
+    def __post_init__(self):
+        coeffs = _finite_tuple(self.coeffs, "multiplier")
+        _require_order(len(coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs)
+
+
+def _require_finite_center(center):
+    if not math.isfinite(float(center)):
+        raise ValueError(f"center must be finite, got {center!r}")
+
+
+@dataclass(frozen=True)
+class CenteredMultiplierVector:
+    """Multipliers for powers of (E - center), at most MAX_ORDER of them."""
+
+    coeffs: tuple
+    center: float
+
+    def __post_init__(self):
+        coeffs = _finite_tuple(self.coeffs, "multiplier")
+        _require_order(len(coeffs))
+        _require_finite_center(self.center)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "center", _as_number(self.center))
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs)
+
+
+@dataclass(frozen=True)
+class MomentVector:
+    """Raw moments (mu_1, ..., mu_N), mu_n = <E**n> in units of energy**n."""
+
+    values: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _finite_tuple(self.values, "moment", float))
+
+    @property
+    def order(self) -> int:
+        return len(self.values)
+
+
+@dataclass(frozen=True)
+class ClaytonParams:
+    """Inverse temperature beta and the small quadratic correction delta of
+    the modified Boltzmann factor exp(-beta*E - delta*(beta*E)**2)."""
+
+    beta: float
+    delta: float
+
+    def __post_init__(self):
+        if not float(self.beta) > 0 or not math.isfinite(float(self.beta)):
+            raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
+        if not math.isfinite(float(self.delta)):
+            raise ValueError(f"delta must be finite, got {self.delta!r}")
+
+
+def _mapped(one_minus_q, beta, n: int):
+    """beta_n = (1-q)**(n-1) * beta**n / n; ``ValueError`` naming n if it overflows.
+
+    At q = 1 exactly, beta_n for n >= 2 is an exact zero of the formula's
+    type, whatever beta**n would be; a (1-q)**(n-1) that merely underflows
+    still goes through the overflow check."""
+    if one_minus_q == 0 and n >= 2:
+        return one_minus_q * beta / n
+    try:
+        coeff = one_minus_q ** (n - 1) * beta ** n / n
+        if math.isfinite(coeff):
+            return coeff
+    except OverflowError:
+        pass
+    raise ValueError(f"multiplier beta_{n} = (1-q)**{n - 1} * beta**{n} / {n} overflows")
+
+
+def q_to_multipliers(params: QParams, order: int) -> MultiplierVector:
+    """Multipliers beta_n = (1-q)**(n-1) * beta**n / n for n = 1..order.
+
+    At q = 1 this is (beta, 0, ..., 0) for any beta: the series terminates.
+    A beta_n out of the float range raises ``ValueError``.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    _require_order(order)
+    one_minus_q = 1 - params.q
+    return MultiplierVector(
+        tuple(_mapped(one_minus_q, params.beta, n) for n in range(1, order + 1))
+    )
+
+
+def _matched_q(coeffs: tuple, tol: float):
+    """``q = 1 - 2*beta_2/beta_1**2`` (1.0 at order 1) if every beta_n from
+    n = 2 on matches the mapping from (q, beta_1), else None.  A predicted
+    beta_n out of the float range raises ``ValueError``."""
+    beta = coeffs[0]
+    q = 1 - 2 * coeffs[1] / (beta * beta) if len(coeffs) >= 2 else 1.0
+    one_minus_q = 1 - q
+    for n in range(2, len(coeffs) + 1):
+        predicted = _mapped(one_minus_q, beta, n)
+        limit = _ABS_FALLBACK_TOL if abs(predicted) < _ABS_FALLBACK_FLOOR else tol * abs(predicted)
+        if abs(coeffs[n - 1] - predicted) > limit:
+            return None
+    return q
+
+
+def multipliers_to_q(m: MultiplierVector, tol: float):
+    """Invert the mapping: recover (q, beta) from a multiplier vector.
+
+    The candidate is ``beta = beta_1`` and ``q = 1 - 2*beta_2/beta_1**2``
+    (q = 1 when the order is 1 or beta_2 = 0).  It is returned only if every
+    remaining beta_n matches ``(1-q)**(n-1) * beta**n / n`` within ``tol``
+    relative (absolute 1e-12 for predicted values below 1e-300) and
+    :class:`QParams` accepts it; otherwise None.  Where floats under- or
+    overflow on the way, the check is redone in exact rational arithmetic.
+    A negative beta_1 also yields None, since a nonnegative inverse
+    temperature cannot reproduce it.  A NaN ``tol`` raises ``ValueError``:
+    every comparison with it is false, so it would accept any vector.
+    """
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
+    b1 = m.coeffs[0]
+    if b1 == 0:
+        raise ZeroLeadingMultiplier("the first multiplier must be nonzero")
+    if b1 < 0:
+        return None
+    try:
+        q = _matched_q(m.coeffs, tol)
+        return None if q is None else QParams(q, b1)
+    except (ArithmeticError, ValueError):
+        pass
+    try:
+        q = _matched_q(tuple(map(Fraction, m.coeffs)), tol)
+        return None if q is None else QParams(float(q), b1)
+    except (OverflowError, ValueError):
+        return None
+
+
+def clayton_multipliers(p: ClaytonParams) -> MultiplierVector:
+    """Order-2 multipliers (beta, delta*beta**2) of the quadratic-corrected
+    Boltzmann factor exp(-beta*E - delta*(beta*E)**2)."""
+    return MultiplierVector((p.beta, p.delta * p.beta ** 2))
+
+
+def clayton_to_q(delta):
+    """q = 1 - 2*delta: the deformation index matching the quadratic
+    Boltzmann-factor correction."""
+    if not math.isfinite(float(delta)):
+        raise ValueError(f"delta must be finite, got {delta!r}")
+    return 1 - 2 * delta
+
+
+def _pairs(path, form: str):
+    """``(lineno, left, right)`` for each ``left,right`` line of a file,
+    skipping blank lines and ``#`` comments."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ParseError(path, lineno, f"expected {form!r}, got {line!r}")
+            yield lineno, parts[0], parts[1]
+
+
+def _field(path, lineno: int, text: str, convert, what: str):
+    """``convert(text)``, where ``convert`` is ``int`` or ``float``; a float
+    must be finite."""
+    try:
+        value = convert(text)
+    except ValueError:
+        raise ParseError(path, lineno, f"bad {what} {text!r}") from None
+    if convert is float and not math.isfinite(value):
+        raise ParseError(path, lineno, f"{what} {text!r} is not finite")
+    return value
+
+
+def load_multipliers(path) -> MultiplierVector:
+    """Read a multiplier file: one ``n,beta_n`` pair per line, n ascending
+    from 1.  Lines starting with ``#`` and blank lines are ignored."""
+    coeffs: list[float] = []
+    for lineno, left, right in _pairs(path, "n,beta_n"):
+        n = _field(path, lineno, left, int, "order")
+        if n != len(coeffs) + 1:
+            raise ParseError(
+                path, lineno, f"orders must ascend from 1, got {n} after {len(coeffs)}"
+            )
+        coeffs.append(_field(path, lineno, right, float, "multiplier"))
+    if not coeffs:
+        raise ParseError(path, 0, "no multipliers found")
+    return MultiplierVector(tuple(coeffs))

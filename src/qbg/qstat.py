@@ -8,47 +8,22 @@ nonpositive the weight is zero: such a level is cut off, its log weight is
 Entropy uses k = 1 (nats):  ``S_q = (1 - sum_i P_i**q) / (q - 1)`` with the
 q -> 1 limit ``-sum_i P_i * log(P_i)``.
 
-Everything here is a pure function over immutable values.
+Everything here is a pure function over immutable values.  :class:`QParams`
+is defined in :mod:`qbg.params`, which needs no numpy, and is importable from
+here as well.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AllLevelsCutOff, LengthMismatch
 from .extbg import _normalize
+from .params import QParams, _require_finite_q
 from .spectrum import Distribution, EnergySpectrum
 
 #: Below this |q - 1| the exact Boltzmann/Gibbs formulas are used.
 Q_ONE_EPS = 1e-12
-
-
-def _require_finite_q(q: float):
-    if not math.isfinite(q):
-        raise ValueError(f"q must be finite, got {q!r}")
-
-
-@dataclass(frozen=True)
-class QParams:
-    """Entropic index q and inverse temperature beta (beta = 0 is the
-    infinite-temperature limit and gives the uniform distribution).  The
-    deformation ``(1-q)*beta`` must be finite too: every weight is formed
-    from it."""
-
-    q: float
-    beta: float
-
-    def __post_init__(self):
-        _require_finite_q(self.q)
-        if not math.isfinite(self.beta) or self.beta < 0:
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
-        if not math.isfinite((1.0 - self.q) * self.beta):
-            raise ValueError(
-                f"(1-q)*beta must be finite, got q={self.q!r}, beta={self.beta!r}"
-            )
 
 
 def log_weights(levels: np.ndarray, params: QParams) -> np.ndarray:

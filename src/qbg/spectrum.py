@@ -31,9 +31,9 @@ from .errors import (
     LengthMismatch,
     NonPositiveDegeneracy,
     NonPositiveScale,
-    ParseError,
     UnsortedLevels,
 )
+from .params import _field, _pairs
 
 #: Tolerance on |sum(P) - 1| accepted by Distribution.
 NORMALIZATION_TOL = 1e-12
@@ -169,32 +169,6 @@ def rescale(spectrum: EnergySpectrum, scale: float) -> EnergySpectrum:
     if not scale > 0 or not math.isfinite(scale):
         raise NonPositiveScale(f"scale must be positive and finite, got {scale!r}")
     return EnergySpectrum(spectrum.levels / scale, spectrum.degeneracies)
-
-
-def _pairs(path, form: str):
-    """``(lineno, left, right)`` for each ``left,right`` line of a file,
-    skipping blank lines and ``#`` comments."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(path, lineno, f"expected {form!r}, got {line!r}")
-            yield lineno, parts[0], parts[1]
-
-
-def _field(path, lineno: int, text: str, convert, what: str):
-    """``convert(text)``, where ``convert`` is ``int`` or ``float``; a float
-    must be finite."""
-    try:
-        value = convert(text)
-    except ValueError:
-        raise ParseError(path, lineno, f"bad {what} {text!r}") from None
-    if convert is float and not math.isfinite(value):
-        raise ParseError(path, lineno, f"{what} {text!r} is not finite")
-    return value
 
 
 def load_spectrum(path) -> EnergySpectrum:

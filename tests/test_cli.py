@@ -337,6 +337,12 @@ class TestConfigValueTypes:
         ("map", {"q": [1], "beta": 1.0, "order": 2}, "--q"),
         ("map", {"q": 0.98, "beta": True, "order": 2}, "--beta"),
         ("dist-q", {"spectrum": ["s.csv"], "q": 0.98, "beta": 1.0}, "--spectrum"),
+        # a number written as a JSON string is not a number
+        ("map", {"q": "0.98", "beta": "1", "order": "3"}, "--q"),
+        ("map", {"q": 0.98, "beta": "1", "order": 3}, "--beta"),
+        ("map", {"q": 0.98, "beta": 1.0, "order": "3"}, "--order"),
+        ("solve", {"spectrum": "s.csv", "targets": [2.0], "tol": "1e-9"}, "--tol"),
+        ("solve", {"spectrum": "s.csv", "targets": ["2", "5.5"]}, "--targets"),
     ])
     def test_rejected_with_value_error(self, tmp_path, capsys, spectrum_file,
                                        subcommand, values, flag):
@@ -358,6 +364,54 @@ class TestConfigValueTypes:
         meta, _, rows = parse_report(out)
         assert meta["order"] == "3"
         assert len(rows) == 3
+
+
+    def test_targets_string_accepted(self, tmp_path, spectrum_file):
+        config = tmp_path / "run.json"
+        out = tmp_path / "solve.csv"
+        config.write_text(json.dumps({"spectrum": str(spectrum_file), "targets": "2,5.5"}))
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
+        assert parse_report(out)[0]["converged"] == "true"
+
+
+class TestDashValues:
+    """A flag value that starts with ``-`` parses as a separate argument just
+    as it does written ``--flag=value``."""
+
+    @staticmethod
+    def outcome(argv, out, capsys):
+        try:
+            status = main([*argv, "--out", str(out)])
+        except SystemExit as exc:   # an argparse usage error
+            status = exc.code
+        report = out.read_bytes() if out.exists() else None
+        if out.exists():
+            out.unlink()
+        return status, capsys.readouterr().err, report
+
+    @pytest.mark.parametrize("argv, flag, status", [
+        (["solve", "--spectrum", "{s}"], ["--targets", "-0.5,1"], 0),
+        (["map", "--beta", "1", "--order", "2"], ["--q", "-1e300"], 0),
+        (["clayton", "--beta", "1"], ["--delta", "-inf"], 1),
+        (["map", "--q", "0.98", "--order", "2"], ["--beta", "-1"], 1),
+    ])
+    def test_same_as_joined(self, tmp_path, capsys, argv, flag, status):
+        spectrum = tmp_path / "s.csv"
+        spectrum.write_text("-2,1\n-1,1\n0,1\n1,2\n2,1\n3,1\n")
+        argv = [a.replace("{s}", str(spectrum)) for a in argv]
+        out = tmp_path / "x.csv"
+        separate = self.outcome([*argv, *flag], out, capsys)
+        joined = self.outcome([*argv, "=".join(flag)], out, capsys)
+        assert separate == joined
+        assert separate[0] == status
+        assert (separate[2] is not None) == (status == 0)
+
+    def test_options_stay_options(self, tmp_path, capsys):
+        # a word starting with "--" after a flag is still read as an option
+        out = tmp_path / "x.csv"
+        status, err, report = self.outcome(["map", "--q", "--beta", "1"], out, capsys)
+        assert status == 2 and "argument --q: expected one argument" in err
+        assert report is None
 
 
 class TestInputChecks:
@@ -408,11 +462,11 @@ class TestInputChecks:
 
 
 def test_import_loads_no_scipy(tmp_path, spectrum_file):
-    """Every ``qbg`` process pays for what ``import qbg.cli`` loads, and no
-    process imports scipy, not even ``solve``: the solver loads LAPACK from
-    the extension module ``scipy.linalg._flapack`` by file location, because
-    the ``scipy.linalg`` package takes longer to import than the rest of a
-    ``solve`` process."""
+    """A ``qbg`` process that runs a numeric subcommand pays for what
+    ``import qbg.cli`` loads, and no process imports scipy, not even
+    ``solve``: the solver loads LAPACK from the extension module
+    ``scipy.linalg._flapack`` by file location, because the ``scipy.linalg``
+    package takes longer to import than the rest of a ``solve`` process."""
     src = Path(__file__).parents[1] / "src"
     code = ("import qbg, qbg.cli, sys; "
             "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "

@@ -22,7 +22,7 @@ from qbg import (
     q_distribution,
     q_to_multipliers,
 )
-from qbg.equivalence import _mapped
+from qbg.params import _mapped
 from qbg.errors import OrderTooLarge, OutsideConvergenceDomain, ZeroLeadingMultiplier
 from qbg.extbg import ClaytonParams
 

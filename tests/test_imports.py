@@ -1,0 +1,180 @@
+"""What a process loads, and what the process entry does to the collector.
+
+``import qbg`` loads no numpy, and ``qbg map``, ``clayton`` and
+``invert-map`` run without it.  ``import qbg.cli`` loads every numeric
+module, which code that rebinds qbg's functions right after that import
+relies on.  Each check runs in a fresh interpreter, because this test
+process has long since imported everything.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+ENV = {**os.environ, "PYTHONPATH": str(SRC)}
+
+NUMERIC = ["qbg.equivalence", "qbg.extbg", "qbg.maxent", "qbg.qstat", "qbg.spectrum"]
+
+#: Names that moved to qbg.params, by the module that defined them before.
+MOVED = {
+    "qbg.qstat": ["QParams"],
+    "qbg.extbg": ["MAX_ORDER", "MultiplierVector", "CenteredMultiplierVector",
+                  "MomentVector", "ClaytonParams", "clayton_multipliers",
+                  "load_multipliers"],
+    "qbg.equivalence": ["q_to_multipliers", "multipliers_to_q", "clayton_to_q"],
+    "qbg.spectrum": ["_pairs", "_field"],
+}
+
+
+def child(code, *args):
+    """Run ``code`` in a fresh interpreter; returns the JSON it printed last."""
+    result = subprocess.run([sys.executable, "-c", code, *args], env=ENV,
+                            capture_output=True, text=True, check=True)
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+LOADED = ("json.dumps(sorted(m for m in sys.modules "
+          "if m.split('.')[0] in ('numpy', 'scipy', 'qbg')))")
+
+
+def imported_modules(stderr):
+    """Module names from the ``-X importtime`` lines in ``stderr``."""
+    return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
+            if line.startswith("import time:") and "|" in line}
+
+
+@pytest.fixture
+def multiplier_file(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1,1.0\n2,0.01\n3,0.00013333333333333333\n")
+    return path
+
+
+@pytest.mark.parametrize("args", [
+    ["map", "--q", "0.98", "--beta", "1", "--order", "3"],
+    ["clayton", "--beta", "1", "--delta", "0.01"],
+    ["invert-map", "--multipliers", "{m}"],
+])
+def test_light_subcommands_load_no_numpy(tmp_path, multiplier_file, args):
+    args = [a.replace("{m}", str(multiplier_file)) for a in args]
+    out = tmp_path / "r.csv"
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "qbg", *args, "--out", str(out)],
+        env=ENV, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    modules = imported_modules(result.stderr)
+    assert {"qbg.commands", "qbg.params"} <= modules
+    assert not [m for m in modules if m.split(".")[0] in ("numpy", "scipy")]
+    report = out.read_text(encoding="utf-8")
+    assert report.startswith(f"# tool: qbg 0.1.0\n# subcommand: {args[0]}\n")
+
+
+def test_bare_import_loads_no_numpy():
+    assert child(f"import sys, json, qbg; print({LOADED})") == ["qbg", "qbg.errors"]
+
+
+def test_cli_import_loads_the_numeric_modules():
+    loaded = child(f"import sys, json, qbg.cli; print({LOADED})")
+    assert set(NUMERIC) <= set(loaded)
+    assert "numpy" in loaded
+
+
+def test_submodule_resolves_as_attribute():
+    code = ("import sys, json, qbg; m = qbg.extbg; "
+            "print(json.dumps([m.__name__, m is sys.modules['qbg.extbg']]))")
+    assert child(code) == ["qbg.extbg", True]
+
+
+def test_every_public_name_resolves():
+    code = ("import json, qbg; from qbg import *; "
+            "print(json.dumps([n for n in qbg.__all__ "
+            "if getattr(qbg, n) is not globals()[n]]))")
+    assert child(code) == []
+
+
+def test_unknown_name_is_an_attribute_error():
+    code = ("import json, qbg\n"
+            "try:\n    qbg.no_such_name\nexcept AttributeError as e:\n"
+            "    print(json.dumps(str(e)))")
+    assert child(code) == "module 'qbg' has no attribute 'no_such_name'"
+
+
+def test_moved_names_are_one_object():
+    code = ("import importlib, json, qbg.params as params\n"
+            f"moved = {MOVED!r}\n"
+            "print(json.dumps([f'{mod}.{n}' for mod, names in moved.items() for n in names\n"
+            "                  if getattr(importlib.import_module(mod), n)\n"
+            "                  is not getattr(params, n)]))")
+    assert child(code) == []
+
+
+def test_numpy_scalars_become_floats_without_importing_numpy():
+    code = ("import sys, json, qbg.params as p\n"
+            "before = 'numpy' in sys.modules\n"
+            "import numpy as np\n"
+            "m = p.MultiplierVector((np.float64(0.5), np.int64(2), 3))\n"
+            "c = p.CenteredMultiplierVector((1.0,), np.float32(0.5))\n"
+            "print(json.dumps([before, [type(x).__name__ for x in m.coeffs],"
+            " type(c.center).__name__]))")
+    assert child(code) == [False, ["float", "float", "int"], "float"]
+
+
+def test_in_process_main_leaves_the_collector_alone(tmp_path):
+    spectrum = tmp_path / "s.csv"
+    spectrum.write_text("0,1\n1,2\n2,1\n")
+    code = ("import gc, json, sys\n"
+            "state = lambda: [gc.isenabled(), gc.get_freeze_count()]\n"
+            "before = state()\n"
+            "import qbg, qbg.cli\n"
+            "statuses = [qbg.cli.main(['map', '--q', '0.9', '--beta', '1', '--order', '2',"
+            " '--out', sys.argv[2]]),\n"
+            "            qbg.cli.main(['dist-q', '--spectrum', sys.argv[1], '--q', '0.9',"
+            " '--beta', '1', '--out', sys.argv[2]])]\n"
+            "print(json.dumps([before, state(), statuses]))")
+    before, after, statuses = child(code, str(spectrum), str(tmp_path / "r.csv"))
+    assert after == before
+    assert statuses == [0, 0]
+
+
+def test_process_entry_freezes_the_heap(tmp_path):
+    code = ("import gc, json, sys\n"
+            "from qbg.__main__ import entry\n"
+            "sys.argv = ['qbg', 'map', '--q', '0.9', '--beta', '1', '--order', '2',"
+            " '--out', sys.argv[1]]\n"
+            "status = entry()\n"
+            "print(json.dumps([status, gc.get_freeze_count() > 0]))")
+    assert child(code, str(tmp_path / "r.csv")) == [0, True]
+
+
+@pytest.mark.parametrize("args, status", [
+    (["dist-q", "--spectrum", "{s}", "--q", "0.9", "--beta", "1", "--out", "{o}"], 0),
+    (["dist-q", "--spectrum", "{bad}", "--q", "0.9", "--beta", "1", "--out", "{o}"], 1),
+    (["dist-q", "--no-such-flag"], 2),
+    (["equiv", "--help"], 0),
+])
+def test_process_entry_keeps_status_and_output(tmp_path, args, status):
+    """``python -m qbg`` exits, and writes to stdout and stderr, as a process
+    that calls ``qbg.cli.main`` without the entry does."""
+    (tmp_path / "s.csv").write_text("0,1\n1,2\n2,1\n")
+    (tmp_path / "bad.csv").write_text("0,1\noops\n")
+    args = [a.format(s=tmp_path / "s.csv", bad=tmp_path / "bad.csv", o=tmp_path / "r.csv")
+            for a in args]
+    runs = []
+    for launcher in (["-m", "qbg"], ["-c", "import sys, qbg.cli; sys.exit(qbg.cli.main())"]):
+        result = subprocess.run([sys.executable, *launcher, *args], env=ENV,
+                                capture_output=True, text=True)
+        runs.append((result.returncode, result.stdout, result.stderr))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == status
+
+
+def test_script_runs_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"qbg": "qbg.__main__:entry"}
