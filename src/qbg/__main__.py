@@ -1,25 +1,31 @@
 """The process entry of ``python -m qbg`` and of the installed ``qbg`` script.
 
-:func:`entry` runs the CLI and then, in a ``finally``, calls ``gc.freeze()``:
-that moves every object still alive into the collector's permanent
-generation, so the collection at interpreter exit does not walk numpy's
-heap.  ``qbg.cli.main`` called inside another process leaves the collector
-alone.
+:func:`entry` runs the CLI, flushes ``sys.stdout`` and ``sys.stderr``, and
+then ends the process with the CLI's exit status through ``os._exit``.  The
+report file is closed by then, so interpreter teardown (the collection at
+exit, module clean-up, ``atexit`` handlers) has nothing left to do for the
+run, and skipping it saves its time.  A flush that fails raises, so the
+process still ends nonzero.  An exception out of the CLI, and argparse's
+``SystemExit`` for ``--help`` and usage errors, propagate and end the process
+the usual way.  ``qbg.cli.main`` called inside another process does none of
+this.
 """
 
-import gc
+import os
 import sys
 
 from .commands import main
 
 
-def entry() -> int:
-    """Run the CLI on ``sys.argv``; returns its exit status."""
-    try:
-        return main()
-    finally:
-        gc.freeze()
+def entry():
+    """Run the CLI on ``sys.argv`` and end the process with its exit status;
+    does not return."""
+    status = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":
-    sys.exit(entry())
+    entry()

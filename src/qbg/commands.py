@@ -14,7 +14,8 @@ whichever source it came from.
 
 This module and :mod:`qbg.params` import no numpy, and they hold all that
 ``map``, ``invert-map`` and ``clayton`` run, so a process running one of
-those three never loads numpy.  The other five subcommands evaluate
+those three never loads numpy; ``json`` is imported only to read a
+``--config`` file.  The other five subcommands evaluate
 distributions on a spectrum; their handlers are in :mod:`qbg.cli`, which is
 imported, with numpy, the first time one of them runs.
 """
@@ -22,7 +23,6 @@ imported, with numpy, the first time one of them runs.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -216,6 +216,8 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     the one reported."""
     values = {key: getattr(args, key) for key in _PARAMS}
     if args.config is not None:
+        import json
+
         with open(args.config, "r", encoding="utf-8") as fh:
             file_values = json.load(fh)
         if not isinstance(file_values, dict):

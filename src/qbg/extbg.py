@@ -20,7 +20,6 @@ The vector types, ``MAX_ORDER``, :func:`clayton_multipliers` and
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -246,10 +245,12 @@ def central_moments(
     return MomentVector(tuple(values))
 
 
-def _binomial_shift(coeffs, x) -> list[Fraction]:
-    """Exact coefficients, in powers of y, of ``sum_k c_k * (y + x)**k`` for
-    ``coeffs`` = (c_1, ..., c_N): entry n is
+def _binomial_shift(coeffs, x) -> list:
+    """Exact coefficients, as ``Fraction``s, in powers of y, of
+    ``sum_k c_k * (y + x)**k`` for ``coeffs`` = (c_1, ..., c_N): entry n is
     ``sum_{k>=n} C(k, n) * c_k * x**(k-n)``, for n = 0..N."""
+    from fractions import Fraction
+
     c = [Fraction(0)] + [Fraction(v) for v in coeffs]
     x = Fraction(x)
     return [sum(math.comb(k, n) * c[k] * x ** (k - n) for k in range(n, len(c)))
@@ -277,5 +278,5 @@ def uncenter_multipliers(
     shift is absorbed by normalization, so the distribution built from the raw
     vector coincides with the centered form.
     """
-    shifted = _binomial_shift(c.coeffs, -Fraction(c.center))
+    shifted = _binomial_shift(c.coeffs, -c.center)
     return MultiplierVector(tuple(float(b) for b in shifted[1:])), float(shifted[0])

@@ -13,16 +13,20 @@ matches the delta-corrected Boltzmann factor with q = 1 - 2*delta.
 
 The mappings use plain Python arithmetic, so exact numeric types (e.g.
 ``fractions.Fraction``) pass through unchanged; this lets the closed-form
-identities be checked with zero tolerance.  This module imports no numpy:
-``qbg map``, ``invert-map`` and ``clayton`` run on it alone.
+identities be checked with zero tolerance.
+
+``qbg map``, ``invert-map`` and ``clayton`` run on this module alone, so it
+imports nothing beyond ``math``, ``sys`` and :mod:`qbg.errors`.  In
+particular it imports no numpy, and no ``dataclasses`` (which loads
+``inspect``) or ``fractions`` at module level: the five records are plain
+classes on :class:`_Record`, which behave as ``@dataclass(frozen=True)``
+would, and ``Fraction`` is imported inside the one function that needs it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import OrderTooLarge, ParseError, ZeroLeadingMultiplier
 
@@ -66,37 +70,68 @@ def _finite_tuple(values, what: str, convert=_as_number) -> tuple:
     return values
 
 
-@dataclass(frozen=True)
-class QParams:
+class _Record:
+    """An immutable record, as ``@dataclass(frozen=True)`` would make it.
+
+    A subclass names its fields, in order, in ``__match_args__`` and sets
+    them once, in ``__init__``, through ``self.__dict__``.  Equality and hash
+    go by class and field values, ``repr`` reads ``Name(field=value, ...)``,
+    and assigning or deleting any attribute raises ``AttributeError``.
+    ``copy`` and ``pickle`` restore ``__dict__`` directly, so they work
+    unchanged."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class QParams(_Record):
     """Entropic index q and inverse temperature beta (beta = 0 is the
     infinite-temperature limit and gives the uniform distribution).  The
     deformation ``(1-q)*beta`` must be finite too: every weight is formed
     from it."""
 
-    q: float
-    beta: float
+    __match_args__ = ("q", "beta")
 
-    def __post_init__(self):
-        _require_finite_q(self.q)
-        if not math.isfinite(self.beta) or self.beta < 0:
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
-        if not math.isfinite((1.0 - self.q) * self.beta):
-            raise ValueError(
-                f"(1-q)*beta must be finite, got q={self.q!r}, beta={self.beta!r}"
-            )
+    def __init__(self, q: float, beta: float):
+        _require_finite_q(q)
+        if not math.isfinite(beta) or beta < 0:
+            raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
+        if not math.isfinite((1.0 - q) * beta):
+            raise ValueError(f"(1-q)*beta must be finite, got q={q!r}, beta={beta!r}")
+        self.__dict__.update(q=q, beta=beta)
 
 
-@dataclass(frozen=True)
-class MultiplierVector:
+class MultiplierVector(_Record):
     """Multipliers (beta_1, ..., beta_N), beta_n in units of energy**-n,
     N <= MAX_ORDER."""
 
-    coeffs: tuple
+    __match_args__ = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = _finite_tuple(self.coeffs, "multiplier")
+    def __init__(self, coeffs: tuple):
+        coeffs = _finite_tuple(coeffs, "multiplier")
         _require_order(len(coeffs))
-        object.__setattr__(self, "coeffs", coeffs)
+        self.__dict__.update(coeffs=coeffs)
 
     @property
     def order(self) -> int:
@@ -108,52 +143,47 @@ def _require_finite_center(center):
         raise ValueError(f"center must be finite, got {center!r}")
 
 
-@dataclass(frozen=True)
-class CenteredMultiplierVector:
+class CenteredMultiplierVector(_Record):
     """Multipliers for powers of (E - center), at most MAX_ORDER of them."""
 
-    coeffs: tuple
-    center: float
+    __match_args__ = ("coeffs", "center")
 
-    def __post_init__(self):
-        coeffs = _finite_tuple(self.coeffs, "multiplier")
+    def __init__(self, coeffs: tuple, center: float):
+        coeffs = _finite_tuple(coeffs, "multiplier")
         _require_order(len(coeffs))
-        _require_finite_center(self.center)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "center", _as_number(self.center))
+        _require_finite_center(center)
+        self.__dict__.update(coeffs=coeffs, center=_as_number(center))
 
     @property
     def order(self) -> int:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
-class MomentVector:
+class MomentVector(_Record):
     """Raw moments (mu_1, ..., mu_N), mu_n = <E**n> in units of energy**n."""
 
-    values: tuple[float, ...]
+    __match_args__ = ("values",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _finite_tuple(self.values, "moment", float))
+    def __init__(self, values: tuple[float, ...]):
+        self.__dict__.update(values=_finite_tuple(values, "moment", float))
 
     @property
     def order(self) -> int:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class ClaytonParams:
+class ClaytonParams(_Record):
     """Inverse temperature beta and the small quadratic correction delta of
     the modified Boltzmann factor exp(-beta*E - delta*(beta*E)**2)."""
 
-    beta: float
-    delta: float
+    __match_args__ = ("beta", "delta")
 
-    def __post_init__(self):
-        if not float(self.beta) > 0 or not math.isfinite(float(self.beta)):
-            raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
-        if not math.isfinite(float(self.delta)):
-            raise ValueError(f"delta must be finite, got {self.delta!r}")
+    def __init__(self, beta: float, delta: float):
+        if not float(beta) > 0 or not math.isfinite(float(beta)):
+            raise ValueError(f"beta must be positive and finite, got {beta!r}")
+        if not math.isfinite(float(delta)):
+            raise ValueError(f"delta must be finite, got {delta!r}")
+        self.__dict__.update(beta=beta, delta=delta)
 
 
 def _mapped(one_minus_q, beta, n: int):
@@ -228,6 +258,8 @@ def multipliers_to_q(m: MultiplierVector, tol: float):
         return None if q is None else QParams(q, b1)
     except (ArithmeticError, ValueError):
         pass
+    from fractions import Fraction
+
     try:
         q = _matched_q(tuple(map(Fraction, m.coeffs)), tol)
         return None if q is None else QParams(float(q), b1)
@@ -237,16 +269,32 @@ def multipliers_to_q(m: MultiplierVector, tol: float):
 
 def clayton_multipliers(p: ClaytonParams) -> MultiplierVector:
     """Order-2 multipliers (beta, delta*beta**2) of the quadratic-corrected
-    Boltzmann factor exp(-beta*E - delta*(beta*E)**2)."""
-    return MultiplierVector((p.beta, p.delta * p.beta ** 2))
+    Boltzmann factor exp(-beta*E - delta*(beta*E)**2).
+
+    At delta = 0, beta_2 is an exact zero of the formula's type for any beta,
+    as :func:`q_to_multipliers` gives at q = 1.  A beta_2 out of the float
+    range raises ``ValueError``."""
+    if p.delta == 0:
+        return MultiplierVector((p.beta, p.delta * p.beta))
+    try:
+        beta_2 = p.delta * p.beta ** 2
+        if math.isfinite(beta_2):
+            return MultiplierVector((p.beta, beta_2))
+    except OverflowError:
+        pass
+    raise ValueError("multiplier beta_2 = delta * beta**2 overflows")
 
 
 def clayton_to_q(delta):
     """q = 1 - 2*delta: the deformation index matching the quadratic
-    Boltzmann-factor correction."""
+    Boltzmann-factor correction.  A q out of the float range raises
+    ``ValueError``."""
     if not math.isfinite(float(delta)):
         raise ValueError(f"delta must be finite, got {delta!r}")
-    return 1 - 2 * delta
+    q = 1 - 2 * delta
+    if not math.isfinite(q):
+        raise ValueError(f"q = 1 - 2*delta overflows, got delta={delta!r}")
+    return q
 
 
 def _pairs(path, form: str):

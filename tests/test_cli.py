@@ -97,6 +97,26 @@ class TestClayton:
         meta, header, rows = parse_report(out)
         assert rows == [["1", "1.0"], ["2", "0.01"]]
 
+    @pytest.mark.parametrize("beta, delta, message", [
+        # beta**2 = 1e400 is not a float
+        ("1e200", "1", "ValueError: multiplier beta_2 = delta * beta**2 overflows\n"),
+        # beta_2 = 1e308 is a float, q = 1 - 2*delta is not
+        ("1", "1e308", "ValueError: q = 1 - 2*delta overflows, got delta=1e+308\n"),
+    ], ids=["beta_2", "q"])
+    def test_out_of_range_fails_in_one_line(self, tmp_path, beta, delta, message):
+        out = tmp_path / "x.csv"
+        result = run_cli("clayton", "--beta", beta, "--delta", delta, "--out", out,
+                         check=False)
+        assert (result.returncode, result.stderr) == (1, message)
+        assert not out.exists()
+
+    def test_zero_delta_terminates_at_large_beta(self, tmp_path):
+        out = tmp_path / "clayton.csv"
+        run_cli("clayton", "--beta", "1e200", "--delta", "0", "--out", out)
+        meta, _, rows = parse_report(out)
+        assert meta["q"] == "1.0"
+        assert rows == [["1", "1e+200"], ["2", "0.0"]]
+
 
 class TestDistQ:
     def test_cutoff_rows_print_zero_and_flag(self, tmp_path, spectrum_file):

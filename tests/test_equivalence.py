@@ -165,6 +165,15 @@ class TestClaytonToQ:
     def test_negative_delta_gives_q_above_one(self):
         assert clayton_to_q(-0.05) == pytest.approx(1.1, rel=1e-15)
 
+    @pytest.mark.parametrize("delta", [1e308, -1e308])
+    def test_q_past_float_range_rejected(self, delta):
+        # delta is finite, 1 - 2*delta is not
+        with pytest.raises(ValueError, match=r"^q = 1 - 2\*delta overflows, got delta="):
+            clayton_to_q(delta)
+
+    def test_q_at_float_range_edge_accepted(self):
+        assert clayton_to_q(-8.988465674311579e307) == 1.7976931348623157e308
+
     def test_consistency_triangle_exact_on_dyadics(self):
         # dyadic delta makes 1-2*delta exactly representable
         for beta in (0.5, 1.0, 2.0, 4.0):

@@ -12,6 +12,7 @@ from qbg import (
     ClaytonParams,
     Distribution,
     MultiplierVector,
+    QParams,
     bg_entropy,
     center_multipliers,
     central_moments,
@@ -20,6 +21,7 @@ from qbg import (
     load_multipliers,
     log_partition,
     make_spectrum,
+    q_to_multipliers,
     raw_moments,
     uncenter_multipliers,
 )
@@ -298,6 +300,20 @@ class TestClaytonMultipliers:
 
     def test_quadratic_coefficient_scales_with_beta_squared(self):
         assert clayton_multipliers(ClaytonParams(2.0, 0.01)).coeffs == (2.0, 0.04)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.0, 0, Fraction(0)])
+    def test_zero_delta_is_exact_at_any_beta(self, delta):
+        # beta**2 = 1e400 is not a float; q = 1 - 2*delta = 1 maps to the same pair
+        coeffs = clayton_multipliers(ClaytonParams(1e200, delta)).coeffs
+        assert coeffs == q_to_multipliers(QParams(1.0, 1e200), 2).coeffs == (1e200, 0.0)
+        assert math.copysign(1.0, coeffs[1]) == math.copysign(1.0, delta * 1.0)
+
+    @pytest.mark.parametrize("beta, delta", [(1e200, 1.0), (1e154, 1e300), (1e154, -1e300)])
+    def test_overflowing_quadratic_coefficient_names_beta_2(self, beta, delta):
+        # beta**2 overflows, or beta**2 = 1e308 does not but delta*beta**2 does
+        message = r"^multiplier beta_2 = delta \* beta\*\*2 overflows$"
+        with pytest.raises(ValueError, match=message):
+            clayton_multipliers(ClaytonParams(beta, delta))
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):

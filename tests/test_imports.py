@@ -1,10 +1,11 @@
-"""What a process loads, and what the process entry does to the collector.
+"""What a process loads, and how the process entry ends the process.
 
 ``import qbg`` loads no numpy, and ``qbg map``, ``clayton`` and
-``invert-map`` run without it.  ``import qbg.cli`` loads every numeric
-module, which code that rebinds qbg's functions right after that import
-relies on.  Each check runs in a fresh interpreter, because this test
-process has long since imported everything.
+``invert-map`` run without it, or the standard modules the light path does
+not need.  ``import qbg.cli`` loads every numeric module, which code that
+rebinds qbg's functions right after that import relies on.  Each check runs
+in a fresh interpreter, because this test process has long since imported
+everything.
 """
 
 import json
@@ -20,6 +21,9 @@ SRC = ROOT / "src"
 ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 
 NUMERIC = ["qbg.equivalence", "qbg.extbg", "qbg.maxent", "qbg.qstat", "qbg.spectrum"]
+
+#: Standard modules that ``map``, ``invert-map`` and ``clayton`` do without.
+NOT_ON_LIGHT_PATH = {"dataclasses", "inspect", "fractions", "decimal", "json"}
 
 #: Names that moved to qbg.params, by the module that defined them before.
 MOVED = {
@@ -71,8 +75,26 @@ def test_light_subcommands_load_no_numpy(tmp_path, multiplier_file, args):
     modules = imported_modules(result.stderr)
     assert {"qbg.commands", "qbg.params"} <= modules
     assert not [m for m in modules if m.split(".")[0] in ("numpy", "scipy")]
+    assert not modules & NOT_ON_LIGHT_PATH
     report = out.read_text(encoding="utf-8")
     assert report.startswith(f"# tool: qbg 0.1.0\n# subcommand: {args[0]}\n")
+
+
+def test_map_with_config_matches_flags(tmp_path):
+    """``json`` is imported only for ``--config``, and the run still reads it."""
+    config = tmp_path / "c.json"
+    config.write_text('{"q": 0.98, "beta": 1, "order": 3}')
+    reports = []
+    for name, args in (("flags", ["--q", "0.98", "--beta", "1", "--order", "3"]),
+                       ("config", ["--config", str(config)])):
+        out = tmp_path / f"{name}.csv"
+        result = subprocess.run([sys.executable, "-m", "qbg", "map", *args, "--out", str(out)],
+                                env=ENV, capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (0, "")
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert reports[0].endswith(b"n,beta_n\n1,1.0\n2,0.010000000000000009\n"
+                               b"3,0.00013333333333333358\n")
 
 
 def test_bare_import_loads_no_numpy():
@@ -142,34 +164,100 @@ def test_in_process_main_leaves_the_collector_alone(tmp_path):
     assert statuses == [0, 0]
 
 
-def test_process_entry_freezes_the_heap(tmp_path):
-    code = ("import gc, json, sys\n"
-            "from qbg.__main__ import entry\n"
-            "sys.argv = ['qbg', 'map', '--q', '0.9', '--beta', '1', '--order', '2',"
-            " '--out', sys.argv[1]]\n"
-            "status = entry()\n"
-            "print(json.dumps([status, gc.get_freeze_count() > 0]))")
-    assert child(code, str(tmp_path / "r.csv")) == [0, True]
+def buffered_env():
+    """``ENV`` without ``PYTHONUNBUFFERED``, so a child's stdout is block
+    buffered when it is a pipe, and a flush the entry leaves out shows."""
+    return {key: value for key, value in ENV.items() if key != "PYTHONUNBUFFERED"}
 
 
-@pytest.mark.parametrize("args, status", [
+#: Runs the process entry on the arguments that follow it, after registering
+#: an ``atexit`` handler and leaving text in stdout's and stderr's buffers.
+ENTRY = ("import atexit, sys\n"
+         "from qbg.__main__ import entry\n"
+         "atexit.register(print, 'atexit ran')\n"
+         "sys.stdout.write('out before')\n"
+         "sys.stderr.write('err before')\n"
+         "sys.argv = ['qbg', *sys.argv[1:]]\n"
+         "entry()\n"
+         "print('entry returned')")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv, status", [
+    (["map", "--q", "0.9", "--beta", "1", "--order", "2"], 0),
+    (["map", "--q", "0.9", "--beta", "1"], 1),
+])
+def test_process_entry_ends_the_process_at_once(tmp_path, argv, status, unbuffered):
+    """``entry()`` ends the process with ``main()``'s status, after flushing
+    what stdout and stderr hold and writing the whole report; code after it
+    and ``atexit`` handlers do not run."""
+    out = tmp_path / "r.csv"
+    env = {**ENV, "PYTHONUNBUFFERED": "1"} if unbuffered else buffered_env()
+    result = subprocess.run([sys.executable, "-c", ENTRY, *argv, "--out", str(out)],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == status
+    assert result.stdout == "out before"
+    if status == 0:
+        assert result.stderr == "err before"
+        assert out.read_text(encoding="utf-8") == (
+            "# tool: qbg 0.1.0\n# subcommand: map\n# q=0.9\n# beta=1.0\n# order=2\n"
+            "n,beta_n\n1,1.0\n2,0.04999999999999999\n")
+    else:
+        assert result.stderr == "err beforeValueError: map requires --order\n"
+        assert not out.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_process_entry_fails_when_its_flush_fails(tmp_path):
+    """A report written, but stdout's buffer lost: the process ends nonzero."""
+    out = tmp_path / "r.csv"
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-c", ENTRY, "map", "--q", "0.9", "--beta", "1", "--order", "2",
+             "--out", str(out)], env=buffered_env(), stdout=full, stderr=subprocess.PIPE,
+            text=True)
+    assert result.returncode != 0
+    assert "OSError" in result.stderr
+    assert out.exists()
+
+
+ENTRY_CASES = pytest.mark.parametrize("args, status", [
     (["dist-q", "--spectrum", "{s}", "--q", "0.9", "--beta", "1", "--out", "{o}"], 0),
     (["dist-q", "--spectrum", "{bad}", "--q", "0.9", "--beta", "1", "--out", "{o}"], 1),
     (["dist-q", "--no-such-flag"], 2),
     (["equiv", "--help"], 0),
 ])
-def test_process_entry_keeps_status_and_output(tmp_path, args, status):
-    """``python -m qbg`` exits, and writes to stdout and stderr, as a process
-    that calls ``qbg.cli.main`` without the entry does."""
+
+
+def entry_and_main_runs(tmp_path, args, env):
+    """(status, stdout, stderr) of ``python -m qbg`` and of a process that
+    calls ``qbg.cli.main`` without the entry, on the same arguments."""
     (tmp_path / "s.csv").write_text("0,1\n1,2\n2,1\n")
     (tmp_path / "bad.csv").write_text("0,1\noops\n")
     args = [a.format(s=tmp_path / "s.csv", bad=tmp_path / "bad.csv", o=tmp_path / "r.csv")
             for a in args]
     runs = []
     for launcher in (["-m", "qbg"], ["-c", "import sys, qbg.cli; sys.exit(qbg.cli.main())"]):
-        result = subprocess.run([sys.executable, *launcher, *args], env=ENV,
+        result = subprocess.run([sys.executable, *launcher, *args], env=env,
                                 capture_output=True, text=True)
         runs.append((result.returncode, result.stdout, result.stderr))
+    return runs
+
+
+@ENTRY_CASES
+def test_process_entry_keeps_status_and_output(tmp_path, args, status):
+    """``python -m qbg`` exits, and writes to stdout and stderr, as a process
+    that calls ``qbg.cli.main`` without the entry does."""
+    runs = entry_and_main_runs(tmp_path, args, ENV)
+    assert runs[0] == runs[1]
+    assert runs[0][0] == status
+
+
+@ENTRY_CASES
+def test_process_entry_keeps_status_and_output_buffered(tmp_path, args, status):
+    """The same with ``PYTHONUNBUFFERED`` unset, so that an unbuffered stdout
+    cannot hide a flush the entry leaves out."""
+    runs = entry_and_main_runs(tmp_path, args, buffered_env())
     assert runs[0] == runs[1]
     assert runs[0][0] == status
 
