@@ -30,9 +30,8 @@ _HOMES = {
                      "rescale"),
         "qstat": ("escort_energy", "product_distribution", "q_distribution",
                   "tsallis_entropy"),
-        "extbg": ("bg_entropy", "center_multipliers", "central_moments",
-                  "ext_distribution", "log_partition", "raw_moments",
-                  "uncenter_multipliers"),
+        "extbg": ("bg_entropy", "center_multipliers", "ext_distribution",
+                  "log_partition", "raw_moments", "uncenter_multipliers"),
         "equivalence": ("EquivalenceReport", "convergence_domain_ratio",
                         "equivalence_report"),
         "maxent": ("SolverOptions", "SolverReport", "dual_gradient", "dual_hessian",
@@ -40,9 +39,7 @@ _HOMES = {
     }.items()
     for name in names
 }
-_SUBMODULES = frozenset(
-    ["cli", "commands", "equivalence", "extbg", "maxent", "params", "qstat", "spectrum"]
-)
+_SUBMODULES = frozenset({*_HOMES.values(), "cli", "commands"})
 
 
 def __getattr__(name):

@@ -1,8 +1,7 @@
 """How close the truncated exponential-polynomial family comes to the q-distribution.
 
-The multiplier mapping ``beta_n = (1-q)**(n-1) * beta**n / n`` and its
-inverse live in :mod:`qbg.params` (they need no numpy) and are importable
-from here as well.  The mapping is exact term by term inside the domain
+The multiplier mapping ``beta_n = (1-q)**(n-1) * beta**n / n``, defined in
+:mod:`qbg.params`, is exact term by term inside the domain
 ``max_i |(1-q)*beta*E_i| < 1`` where the logarithm series converges;
 :func:`equivalence_report` measures, for each truncation order N, the
 sup-norm distance between the order-N distribution and the exact
@@ -17,13 +16,8 @@ import numpy as np
 
 from .errors import OutsideConvergenceDomain
 from .extbg import _normalize, _truncated_exponents
-from .params import (  # noqa: F401  (moved; kept importable from here)
-    _require_order,
-    clayton_to_q,
-    multipliers_to_q,
-    q_to_multipliers,
-)
-from .qstat import QParams, q_distribution
+from .params import QParams, _require_order, q_to_multipliers
+from .qstat import q_distribution
 from .spectrum import EnergySpectrum
 
 

@@ -11,10 +11,6 @@ are correctly rounded.
 
 All exponent arithmetic runs in log space with a max shift, so spectra with
 exponents up to ~1e4 in magnitude do not overflow.
-
-The vector types, ``MAX_ORDER``, :func:`clayton_multipliers` and
-:func:`load_multipliers` need no numpy; they are defined in
-:mod:`qbg.params` and importable from here as well.
 """
 
 from __future__ import annotations
@@ -24,16 +20,13 @@ import math
 import numpy as np
 
 from .errors import LengthMismatch, NonFiniteExponent
-from .params import (  # noqa: F401  (moved; kept importable from here)
-    MAX_ORDER,
+from .params import (
     CenteredMultiplierVector,
-    ClaytonParams,
     MomentVector,
     MultiplierVector,
     _require_finite_center,
-    clayton_multipliers,
-    load_multipliers,
 )
+from .params import load_multipliers  # noqa: F401  (perfbench/spans.py traces it here)
 from .spectrum import Distribution, EnergySpectrum
 
 
@@ -225,24 +218,6 @@ def raw_moments(
         raise ValueError("order must be >= 1")
     mu = dist.probs @ _power_matrix(spectrum, order)
     return MomentVector(tuple(mu))
-
-
-def central_moments(
-    dist: Distribution, spectrum: EnergySpectrum, order: int
-) -> MomentVector:
-    """Central moments <(E - mu_1)**n> for n = 1..order; the first entry is
-    exactly 0 (it is analytically forced)."""
-    if len(dist) != len(spectrum):
-        raise LengthMismatch(f"{len(spectrum)} levels but {len(dist)} probabilities")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    p = dist.probs
-    e = spectrum.levels
-    mean = float(p @ e)
-    d = e - mean
-    values = [float(p @ d ** n) for n in range(1, order + 1)]
-    values[0] = 0.0
-    return MomentVector(tuple(values))
 
 
 def _binomial_shift(coeffs, x) -> list:

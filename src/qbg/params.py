@@ -20,7 +20,7 @@ imports nothing beyond ``math``, ``sys`` and :mod:`qbg.errors`.  In
 particular it imports no numpy, and no ``dataclasses`` (which loads
 ``inspect``) or ``fractions`` at module level: the five records are plain
 classes on :class:`_Record`, which behave as ``@dataclass(frozen=True)``
-would, and ``Fraction`` is imported inside the one function that needs it.
+would, and ``Fraction`` is imported inside the two functions that need it.
 """
 
 from __future__ import annotations
@@ -186,21 +186,35 @@ class ClaytonParams(_Record):
         self.__dict__.update(beta=beta, delta=delta)
 
 
+def _in_range(formula, args: tuple, what: str):
+    """``formula(*args)`` where it is finite.  Where a power or product on
+    the way overflows, the value is formed again from the ``Fraction`` of each
+    argument, exactly, and rounded once; one that is out of the float range
+    itself raises ``ValueError`` naming ``what``."""
+    try:
+        value = formula(*args)
+        if math.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    from fractions import Fraction
+
+    try:
+        return float(formula(*map(Fraction, args)))
+    except OverflowError:
+        raise ValueError(f"multiplier {what} overflows") from None
+
+
 def _mapped(one_minus_q, beta, n: int):
     """beta_n = (1-q)**(n-1) * beta**n / n; ``ValueError`` naming n if it overflows.
 
     At q = 1 exactly, beta_n for n >= 2 is an exact zero of the formula's
     type, whatever beta**n would be; a (1-q)**(n-1) that merely underflows
-    still goes through the overflow check."""
+    still goes through the exact fallback of :func:`_in_range`."""
     if one_minus_q == 0 and n >= 2:
         return one_minus_q * beta / n
-    try:
-        coeff = one_minus_q ** (n - 1) * beta ** n / n
-        if math.isfinite(coeff):
-            return coeff
-    except OverflowError:
-        pass
-    raise ValueError(f"multiplier beta_{n} = (1-q)**{n - 1} * beta**{n} / {n} overflows")
+    return _in_range(lambda a, b: a ** (n - 1) * b ** n / n, (one_minus_q, beta),
+                     f"beta_{n} = (1-q)**{n - 1} * beta**{n} / {n}")
 
 
 def q_to_multipliers(params: QParams, order: int) -> MultiplierVector:
@@ -276,13 +290,8 @@ def clayton_multipliers(p: ClaytonParams) -> MultiplierVector:
     range raises ``ValueError``."""
     if p.delta == 0:
         return MultiplierVector((p.beta, p.delta * p.beta))
-    try:
-        beta_2 = p.delta * p.beta ** 2
-        if math.isfinite(beta_2):
-            return MultiplierVector((p.beta, beta_2))
-    except OverflowError:
-        pass
-    raise ValueError("multiplier beta_2 = delta * beta**2 overflows")
+    beta_2 = _in_range(lambda d, b: d * b ** 2, (p.delta, p.beta), "beta_2 = delta * beta**2")
+    return MultiplierVector((p.beta, beta_2))
 
 
 def clayton_to_q(delta):

@@ -8,9 +8,7 @@ nonpositive the weight is zero: such a level is cut off, its log weight is
 Entropy uses k = 1 (nats):  ``S_q = (1 - sum_i P_i**q) / (q - 1)`` with the
 q -> 1 limit ``-sum_i P_i * log(P_i)``.
 
-Everything here is a pure function over immutable values.  :class:`QParams`
-is defined in :mod:`qbg.params`, which needs no numpy, and is importable from
-here as well.
+Everything here is a pure function over immutable values.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AllLevelsCutOff, LengthMismatch
-from .extbg import _normalize
+from .extbg import _normalize, bg_entropy
 from .params import QParams, _require_finite_q
 from .spectrum import Distribution, EnergySpectrum
 
@@ -80,13 +78,13 @@ def tsallis_entropy(dist: Distribution, q: float) -> float:
     """Entropy of order q with k = 1; zero-probability terms contribute 0.
 
     Evaluated as ``-sum_i P_i * expm1((q-1)*log(P_i)) / (q-1)``, which is
-    exact in the q -> 1 limit direction; |q-1| < 1e-12 routes to the plain
-    Gibbs formula.  A non-finite q raises ``ValueError``.
+    exact in the q -> 1 limit direction; |q-1| < 1e-12 routes to
+    :func:`~qbg.extbg.bg_entropy`.  A non-finite q raises ``ValueError``.
     """
     _require_finite_q(q)
-    p = dist.probs[dist.probs > 0]
     if abs(q - 1.0) < Q_ONE_EPS:
-        return float(-(p * np.log(p)).sum())
+        return bg_entropy(dist)
+    p = dist.probs[dist.probs > 0]
     return float(-(p * np.expm1((q - 1.0) * np.log(p))).sum() / (q - 1.0))
 
 

@@ -8,6 +8,7 @@ seeded, every check runs in a few seconds.
 from __future__ import annotations
 
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -376,6 +377,7 @@ def test_9_cli_golden_reports(tmp_path):
                 [sys.executable, "-m", "qbg", *args, "--out", str(out)],
                 capture_output=True,
                 text=True,
+                env={**os.environ, "PYTHONPATH": str(REPO / "src")},
             )
             assert result.returncode == 0, result.stderr
             outputs.append(out.read_bytes())

@@ -30,7 +30,6 @@ PUBLIC = [
     "SolverReport",
     "bg_entropy",
     "center_multipliers",
-    "central_moments",
     "clayton_multipliers",
     "clayton_to_q",
     "convergence_domain_ratio",

@@ -10,6 +10,8 @@ import pytest
 from qbg.cli import main
 
 DATA = Path(__file__).parent / "data"
+#: The environment of a ``python -m qbg`` child: it imports qbg from ``src``.
+ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
 
 
 def run_cli(*args, check=True):
@@ -17,6 +19,7 @@ def run_cli(*args, check=True):
         [sys.executable, "-m", "qbg", *[str(a) for a in args]],
         capture_output=True,
         text=True,
+        env=ENV,
     )
     if check and result.returncode != 0:
         raise AssertionError(f"cli failed: {result.stderr}")
@@ -87,6 +90,14 @@ class TestMap:
         assert result.returncode == 0
         assert parse_report(out)[2] == [["1", "1e+200"], ["2", "0.0"]]
 
+    def test_overflowing_power_with_a_float_multiplier(self, tmp_path):
+        # beta**2 = 1e320 is not a float, but beta_2 = (1-q)*beta**2/2 is
+        out = tmp_path / "map.csv"
+        result = run_cli("map", "--q", "0.9999999999999999", "--beta", "1e160", "--order", "2",
+                         "--out", out)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert parse_report(out)[2] == [["1", "1e+160"], ["2", "5.551115123125782e+303"]]
+
 
 class TestClayton:
     def test_rows_and_q_comment(self, tmp_path):
@@ -109,6 +120,13 @@ class TestClayton:
                          check=False)
         assert (result.returncode, result.stderr) == (1, message)
         assert not out.exists()
+
+    def test_overflowing_beta_squared_with_a_float_multiplier(self, tmp_path):
+        # beta**2 = 1e400 is not a float, but beta_2 = delta*beta**2 is
+        out = tmp_path / "clayton.csv"
+        result = run_cli("clayton", "--beta", "1e200", "--delta=-1e-300", "--out", out)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert parse_report(out)[2] == [["1", "1e+200"], ["2", "-1e+100"]]
 
     def test_zero_delta_terminates_at_large_beta(self, tmp_path):
         out = tmp_path / "clayton.csv"

@@ -22,9 +22,8 @@ from qbg import (
     q_distribution,
     q_to_multipliers,
 )
-from qbg.params import _mapped
+from qbg.params import ClaytonParams, _mapped
 from qbg.errors import OrderTooLarge, OutsideConvergenceDomain, ZeroLeadingMultiplier
-from qbg.extbg import ClaytonParams
 
 from conftest import spectra
 
@@ -54,10 +53,20 @@ class TestQToMultipliers:
         m = q_to_multipliers(QParams(Fraction(49, 50), Fraction(1)), 2)
         assert m.coeffs == (Fraction(1), Fraction(1, 100))
 
-    @pytest.mark.parametrize("q, beta, n", [(0.5, 1e200, 2), (-1e200, 1e-100, 3)])
+    @pytest.mark.parametrize("q, beta, n", [(0.5, 1e200, 2), (-1e200, 1.0, 3)])
     def test_out_of_float_range_names_the_order(self, q, beta, n):
         with pytest.raises(ValueError, match=f"multiplier beta_{n} = "):
             q_to_multipliers(QParams(q, beta), 4)
+
+    @pytest.mark.parametrize("q, beta, order", [
+        (1 - 2 ** -53, 1e160, 2), (1 + 2 ** -40, 1e160, 2), (-1e200, 1e-100, 4)])
+    def test_overflowing_power_is_not_an_overflow(self, q, beta, order):
+        # beta**n or (1-q)**(n-1) is not a float, but beta_n is: formed
+        # exactly and rounded once
+        one_minus_q, b = Fraction(1 - q), Fraction(beta)
+        expected = tuple(float(one_minus_q ** (n - 1) * b ** n / n)
+                         for n in range(1, order + 1))
+        assert q_to_multipliers(QParams(q, beta), order).coeffs == expected
 
     def test_q_one_terminates_at_any_beta(self):
         # beta_n = 0 exactly for n >= 2, although beta**2 = 1e400 is not a float
@@ -71,9 +80,9 @@ class TestQToMultipliers:
 
     def test_underflowed_factor_is_not_a_zero(self):
         # (1-q)**2 = 1e-400 underflows to 0.0, but beta_3 = 1e-400 * 1e600 / 3
-        # is not 0: only an exact q = 1 short-cuts the overflow check
-        with pytest.raises(ValueError, match="multiplier beta_3 = "):
-            _mapped(1e-200, 1e200, 3)
+        # is not 0: only an exact q = 1 short-cuts the exact fallback
+        expected = float(Fraction(1e-200) ** 2 * Fraction(1e200) ** 3 / 3)
+        assert _mapped(1e-200, 1e200, 3) == expected != 0.0
 
 
 class TestMultipliersToQ:

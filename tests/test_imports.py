@@ -25,14 +25,20 @@ NUMERIC = ["qbg.equivalence", "qbg.extbg", "qbg.maxent", "qbg.qstat", "qbg.spect
 #: Standard modules that ``map``, ``invert-map`` and ``clayton`` do without.
 NOT_ON_LIGHT_PATH = {"dataclasses", "inspect", "fractions", "decimal", "json"}
 
-#: Names that moved to qbg.params, by the module that defined them before.
+#: Names that moved to qbg.params and that their old module still imports,
+#: by that module.
 MOVED = {
     "qbg.qstat": ["QParams"],
-    "qbg.extbg": ["MAX_ORDER", "MultiplierVector", "CenteredMultiplierVector",
-                  "MomentVector", "ClaytonParams", "clayton_multipliers",
+    "qbg.extbg": ["MultiplierVector", "CenteredMultiplierVector", "MomentVector",
                   "load_multipliers"],
-    "qbg.equivalence": ["q_to_multipliers", "multipliers_to_q", "clayton_to_q"],
+    "qbg.equivalence": ["QParams", "q_to_multipliers"],
     "qbg.spectrum": ["_pairs", "_field"],
+}
+
+#: Names that moved to qbg.params and no longer resolve from their old module.
+RETIRED = {
+    "qbg.extbg": ["MAX_ORDER", "ClaytonParams", "clayton_multipliers"],
+    "qbg.equivalence": ["clayton_to_q", "multipliers_to_q"],
 }
 
 
@@ -134,6 +140,16 @@ def test_moved_names_are_one_object():
             "                  if getattr(importlib.import_module(mod), n)\n"
             "                  is not getattr(params, n)]))")
     assert child(code) == []
+
+
+def test_retired_names_resolve_only_from_qbg_and_params():
+    code = ("import importlib, json, qbg, qbg.params as params\n"
+            f"retired = {RETIRED!r}\n"
+            "print(json.dumps([[f'{mod}.{n}', hasattr(importlib.import_module(mod), n),\n"
+            "                   getattr(qbg, n) is getattr(params, n)]\n"
+            "                  for mod, names in retired.items() for n in names]))")
+    assert child(code) == [[f"{mod}.{n}", False, True]
+                           for mod, names in RETIRED.items() for n in names]
 
 
 def test_numpy_scalars_become_floats_without_importing_numpy():
