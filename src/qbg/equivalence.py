@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsideConvergenceDomain
-from .extbg import _normalize, _truncated_exponents
+from .extbg import _normalize, _spare_rows, _truncated_exponents
 from .params import QParams, _require_order, q_to_multipliers
 from .qstat import q_distribution
 from .spectrum import EnergySpectrum
@@ -60,9 +60,10 @@ def equivalence_report(
     powers, in the summation order of a fresh order-N
     :func:`~qbg.extbg.ext_distribution`, so each distance is the one a
     fresh evaluation gives.  Everything runs in place: with the spectrum's
-    caches warm, the call holds six level-sized arrays at its peak (the
-    exact probabilities, the running sum, and a (4, levels) scratch block
-    whose first two rows hold ``log g - s`` and the probabilities).
+    caches warm, the call holds five level-sized arrays at its peak below
+    order 16, six from 16 on (the exact probabilities, the running sum,
+    and a scratch block of three rows, four from order 16, whose first two
+    rows hold ``log g - s`` and the probabilities).
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -75,7 +76,7 @@ def equivalence_report(
     exact, _ = q_distribution(spectrum, params)
     log_g = spectrum._log_g()
     # shared: the sweep writes it only inside next(), this loop only between yields
-    scratch = np.empty((4, len(spectrum)))
+    scratch = _spare_rows(max_order, len(spectrum))
     log_w, probs = scratch[0], scratch[1]
     distances = []
     # one errstate for the whole sweep, which needs it (see _truncated_exponents)

@@ -27,17 +27,13 @@ from .params import (
     _require_finite_center,
 )
 from .params import load_multipliers  # noqa: F401  (perfbench/spans.py traces it here)
-from .spectrum import Distribution, EnergySpectrum
+from .spectrum import Distribution, EnergySpectrum, _power_matrix
 
 
-def _power_matrix(spectrum: EnergySpectrum, order: int) -> np.ndarray:
-    """``E_i**n`` for n = 1..order, shape (levels, order): a C-contiguous
-    copy of the first ``order`` rows of the spectrum's power cache.
-
-    Matrix products take this copy: the same product on the transposed
-    rows, or on a column slice of a wider matrix, differs in the last bit.
-    """
-    return np.ascontiguousarray(spectrum._powers(order)[:order].T)
+def _spare_rows(order: int, size: int) -> np.ndarray:
+    """The ``spare`` block :func:`_pairwise` needs for up to ``order``
+    terms of ``size`` entries: three rows, and a fourth from 16 terms on."""
+    return np.empty((3 if order < 16 else 4, size))
 
 
 def _pairwise(column, n: int, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
@@ -47,23 +43,25 @@ def _pairwise(column, n: int, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
     lanes (lane j adds terms j, j + 8, ... of the whole blocks of 8) joined
     as ((r1+r2)+(r3+r4))+((r5+r6)+(r7+r8)), then the rest left to right.
 
-    ``column(j, buf)`` writes term j into ``buf``.  The four rows of
-    ``spare``, an array of shape (4, out.size), are overwritten as scratch.
+    ``column(j, buf)`` writes term j into ``buf``.  The rows of ``spare``,
+    an array of shape (3, out.size), or (4, out.size) from 16 terms on (see
+    :func:`_spare_rows`), are overwritten as scratch; the fourth row holds
+    a lane's later terms, and a lane has more than one only from 16 terms.
 
     numpy starts the short loop from 0.0, which can only turn a -0.0 into
     0.0; callers add the row reduction's leading 0.0, which does the same."""
-    scratch, b1, b2, b3 = spare
+    b1, b2, b3 = spare[:3]
     if n < 8:
         column(1, out)
         for j in range(2, n + 1):
-            np.add(out, column(j, scratch), out=out)
+            np.add(out, column(j, b1), out=out)
         return out
     blocks = n - n % 8
 
     def lane(j, buf):
         column(j, buf)
         for k in range(j + 8, blocks + 1, 8):
-            np.add(buf, column(k, scratch), out=buf)
+            np.add(buf, column(k, spare[3]), out=buf)
         return buf
 
     np.add(lane(1, out), lane(2, b1), out=out)
@@ -74,7 +72,7 @@ def _pairwise(column, n: int, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
     np.add(b1, b2, out=b1)
     np.add(out, b1, out=out)
     for j in range(blocks + 1, n + 1):
-        np.add(out, column(j, scratch), out=out)
+        np.add(out, column(j, b1), out=out)
     return out
 
 
@@ -83,9 +81,10 @@ def _prefix_sums(column, count: int, scratch: np.ndarray):
     ``np.add.reduce(M[:, :N], axis=1)`` of the C-ordered matrix M whose
     column n - 1 holds term n; ``column(n, buf)`` writes term n into
     ``buf``.  Every yield is the same array, overwritten by the next
-    order's sum.  ``scratch``, shape (4, size), is the caller's: the sweep
-    overwrites it inside each ``next()`` and leaves it alone between
-    yields, so the caller may use it there.
+    order's sum.  ``scratch``, the :func:`_spare_rows` of ``count`` terms
+    (or a block with more rows), is the caller's: the sweep overwrites it
+    inside each ``next()`` and leaves it alone between yields, so the
+    caller may use it there.
 
     numpy reduces a row as ``0.0 + pairwise_sum(row)``.  Between the points
     where the pairwise tree changes shape (N = 1 and every multiple of 8)
@@ -140,7 +139,8 @@ def _truncated_exponents(spectrum: EnergySpectrum, m: MultiplierVector, scratch:
     """Yield the order-N exponents ``s_i = sum_{n<=N} beta_n * E_i**n`` for
     N = 1..m.order, each bit for bit the :func:`_exponents` of the first N
     multipliers.  Every yield is the same array, overwritten by the next
-    order; ``scratch``, shape (4, levels), is used as in :func:`_prefix_sums`.
+    order; ``scratch``, the :func:`_spare_rows` of ``m.order`` terms, is
+    used as in :func:`_prefix_sums`.
 
     Consume it under ``np.errstate(over="ignore", invalid="ignore")``, as
     :func:`_exponents` runs: a term that overflows then raises
@@ -157,7 +157,7 @@ def _exponents(spectrum: EnergySpectrum, m: MultiplierVector) -> np.ndarray:
     column = _term_column(spectrum, m)
     s = np.empty(len(spectrum))
     with np.errstate(over="ignore", invalid="ignore"):
-        _pairwise(column, m.order, s, np.empty((4, s.size)))
+        _pairwise(column, m.order, s, _spare_rows(m.order, s.size))
         return _checked(np.add(0.0, s, out=s), column, m.order)
 
 

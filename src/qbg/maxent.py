@@ -47,9 +47,9 @@ from .errors import (
     OrderMismatch,
     TooFewLevels,
 )
-from .extbg import _power_matrix, ext_distribution, log_partition
+from .extbg import ext_distribution, log_partition
 from .params import MomentVector, MultiplierVector, _require_order
-from .spectrum import EnergySpectrum, rescale
+from .spectrum import EnergySpectrum, _power_matrix, rescale
 
 _RIDGE_FLOOR = 1e-12
 _MAX_RIDGE = 1e-6

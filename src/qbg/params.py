@@ -235,9 +235,15 @@ def q_to_multipliers(params: QParams, order: int) -> MultiplierVector:
 def _matched_q(coeffs: tuple, tol: float):
     """``q = 1 - 2*beta_2/beta_1**2`` (1.0 at order 1) if every beta_n from
     n = 2 on matches the mapping from (q, beta_1), else None.  A predicted
-    beta_n out of the float range raises ``ValueError``."""
+    beta_n out of the float range raises ``ValueError``; a ``beta_1**2`` or
+    ``2*beta_2`` that overflows to inf raises ``OverflowError``."""
     beta = coeffs[0]
-    q = 1 - 2 * coeffs[1] / (beta * beta) if len(coeffs) >= 2 else 1.0
+    q = 1.0
+    if len(coeffs) >= 2:
+        square, twice = beta * beta, 2 * coeffs[1]
+        if math.inf in (square, abs(twice)):
+            raise OverflowError("beta_1**2 or 2*beta_2 overflows")
+        q = 1 - twice / square
     one_minus_q = 1 - q
     for n in range(2, len(coeffs) + 1):
         predicted = _mapped(one_minus_q, beta, n)

@@ -98,6 +98,19 @@ class TestMap:
         assert (result.returncode, result.stderr) == (0, "")
         assert parse_report(out)[2] == [["1", "1e+160"], ["2", "5.551115123125782e+303"]]
 
+    def test_overflowing_power_round_trips_through_invert_map(self, tmp_path):
+        # beta_1**2 = 1e320 is not a float; invert-map must still match
+        mapped = tmp_path / "map.csv"
+        run_cli("map", "--q", "0.9999999999999999", "--beta", "1e160", "--order", "2",
+                "--out", mapped)
+        multipliers = tmp_path / "m.csv"
+        multipliers.write_text("".join(f"{n},{b}\n" for n, b in parse_report(mapped)[2]))
+        out = tmp_path / "inv.csv"
+        run_cli("invert-map", "--multipliers", multipliers, "--out", out)
+        meta, _, rows = parse_report(out)
+        assert meta["matched"] == "true"
+        assert rows == [["0.9999999999999999", "1e+160"]]
+
 
 class TestClayton:
     def test_rows_and_q_comment(self, tmp_path):

@@ -129,6 +129,18 @@ class TestMultipliersToQ:
         assert params == QParams(float(exact), 1e-170)
         assert type(params.q) is float
 
+    def test_overflowing_beta_1_squared(self):
+        # beta_1**2 = 1e320 overflows to inf in floats, which would give q = 1
+        # and a predicted beta_2 = 0; the exact check recovers q
+        m = q_to_multipliers(QParams(1 - 2 ** -53, 1e160), 2)
+        assert m.coeffs == (1e160, 5.551115123125782e303)
+        params = multipliers_to_q(m, 1e-9)
+        assert params == QParams(1 - 2 ** -53, 1e160)
+        assert type(params.q) is float
+        # 2*beta_2 = 3.4e308 overflows too; q = 1 - 2*beta_2/beta_1**2 exactly
+        params = multipliers_to_q(MultiplierVector((1e160, 1.7e308)), 1e-9)
+        assert params == QParams(float(1 - 2 * Fraction(1.7e308) / Fraction(1e160) ** 2), 1e160)
+
     def test_overflowing_prediction_gives_no_value(self):
         # (1-q)**2 overflows, but the predicted beta_3 = 4e600*1e-300/3 is
         # finite and far from 5
@@ -251,22 +263,25 @@ class TestEquivalenceReport:
         report = equivalence_report(s, QParams(1.0, 1e200), 2)
         assert report == EquivalenceReport((1, 2), (0.0, 0.0), 0.0)
 
-    def test_peak_holds_at_most_six_and_a_half_level_arrays(self):
+    @pytest.mark.parametrize("order, arrays", [(12, 5.5), (16, 6.5)])
+    def test_peak_holds_five_level_arrays_below_order_16(self, order, arrays):
         # with the spectrum's caches warm: the exact probabilities, the running
-        # sum, the (4, levels) scratch block, and the small tie mask
+        # sum, the scratch block (three rows, four from order 16), and the
+        # small tie mask
         rng = np.random.default_rng(41)
         levels = np.linspace(-2.0, 8.0, 100_000)
         s = make_spectrum(levels, rng.integers(1, 5, levels.size))
         params = QParams(0.99, 0.3)
-        equivalence_report(s, params, 12)
+        equivalence_report(s, params, order)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            equivalence_report(s, params, 12)
+            equivalence_report(s, params, order)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - before <= 6.5 * 8 * levels.size
+        assert peak - before <= arrays * 8 * levels.size
+
     def test_exact_at_q_one_for_every_order(self):
         s = make_spectrum([0.0, 0.7, 1.1, 3.0], [1, 2, 1, 1])
         report = equivalence_report(s, QParams(1.0, 1.3), 5)

@@ -25,7 +25,15 @@ from qbg import (
     uncenter_multipliers,
 )
 from qbg.errors import LengthMismatch, NonFiniteExponent, OrderTooLarge, ParseError
-from qbg.extbg import _exponents, _logsumexp, _power_matrix, _prefix_sums, _truncated_exponents
+from qbg.extbg import (
+    _exponents,
+    _logsumexp,
+    _pairwise,
+    _prefix_sums,
+    _spare_rows,
+    _truncated_exponents,
+)
+from qbg.spectrum import _power_matrix
 
 from conftest import spectra
 
@@ -389,7 +397,7 @@ def bits(a):
 
 def sweep_of(spectrum, m):
     """The exponent sweep of ``m`` over ``spectrum``, with its own scratch."""
-    return _truncated_exponents(spectrum, m, np.empty((4, len(spectrum))))
+    return _truncated_exponents(spectrum, m, _spare_rows(m.order, len(spectrum)))
 
 
 class TestPrefixSumsMatchNumpy:
@@ -427,6 +435,17 @@ class TestPrefixSumsMatchNumpy:
                     assert np.array_equal(bits(s), bits(np.add.reduce(view, axis=1)))
                 # between yields the scratch is the caller's to overwrite
                 scratch.fill(np.nan)
+
+    def test_pairwise_needs_a_fourth_spare_row_only_from_16_terms(self):
+        rng = np.random.default_rng(16)
+        m = self.matrix(rng, 3000, 20)
+        out = np.empty(m.shape[0])
+        for n in range(1, 21):
+            spare = _spare_rows(n, m.shape[0])
+            assert spare.shape == ((3 if n < 16 else 4), m.shape[0])
+            _pairwise(self.columns(m), n, out, spare)
+            expected = np.add.reduce(np.ascontiguousarray(m[:, :n]), axis=1)
+            assert np.array_equal(bits(np.add(0.0, out)), bits(expected))
 
     def test_exponents_match_term_matrix_row_sums(self):
         rng = np.random.default_rng(41)
@@ -491,3 +510,18 @@ class TestPowerMatrix:
             assert pw.shape == (4, order)
             assert pw.flags.c_contiguous
             assert np.array_equal(bits(pw), bits(expected[:, :order]))
+
+    def test_same_bits_as_a_copy_of_one_pow_block(self):
+        # the cache serves E**1 from the levels; the matrix must keep the
+        # bits of a block built with pow for every n, 1 included
+        rng = np.random.default_rng(12)
+        levels = np.unique(np.concatenate([rng.uniform(-8.0, 8.0, 5000),
+                                           [-1e300, -1e-300, -0.0, 5e-324, 1e30, 1e300]]))
+        s = make_spectrum(levels, np.ones(levels.size, dtype=np.int64))
+        with np.errstate(over="ignore"):
+            block = np.stack([np.power(levels, np.full(levels.size, float(n)))
+                              for n in range(1, 21)])
+        for order in (1, 2, 12, 20, 7):
+            pw = _power_matrix(s, order)
+            assert pw.flags.c_contiguous and pw.shape == (levels.size, order)
+            assert pw.tobytes() == np.ascontiguousarray(block[:order].T).tobytes()

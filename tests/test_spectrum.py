@@ -32,6 +32,11 @@ from qbg.spectrum import load_spectrum
 from conftest import spectra
 
 
+def bits(a):
+    """The float64 bit patterns of ``a``, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
 class TestMakeSpectrum:
     def test_minimal_two_level(self):
         s = make_spectrum([0, 1], [1, 1])
@@ -152,17 +157,39 @@ class TestReadOnlyArrays:
 
 
 class TestPowerCache:
+    @staticmethod
+    def broadcast(levels, order):
+        """``levels ** n`` for n = 1..order, one row per power."""
+        return np.ascontiguousarray((levels[:, None] ** np.arange(1, order + 1)[None, :]).T)
+
     def test_read_only_and_equal_to_broadcast_pow(self):
         s = make_spectrum([-1.5, -0.1, 0.0, 0.3, 2.0, 7.25], [1, 2, 1, 1, 3, 1])
         powers = s._powers(5)
-        assert not powers.flags.writeable
-        with pytest.raises(ValueError):
-            powers[0, 0] = 1.0
-        expected = s.levels[:, None] ** np.arange(1, 6)[None, :]
-        # one contiguous row per power
-        assert powers.shape == (5, 6)
-        assert powers.flags.c_contiguous
-        assert powers.tobytes() == np.ascontiguousarray(expected.T).tobytes()
+        assert len(powers) == 5
+        # E**1 is the levels array itself; E**2..E**5 are rows of one block
+        assert powers[0] is s.levels
+        block = s._power_block(5)
+        assert block.shape == (4, 6) and block.flags.c_contiguous
+        assert not block.flags.writeable
+        expected = self.broadcast(s.levels, 5)
+        for n, row in enumerate(powers, start=1):
+            assert not row.flags.writeable and row.flags.c_contiguous
+            with pytest.raises(ValueError):
+                row[0] = 1.0
+            assert row.tobytes() == expected[n - 1].tobytes()
+            if n >= 2:
+                assert row.base is block
+
+    def test_pow_to_the_first_is_the_identity(self):
+        # serving E**1 from the levels relies on pow(x, 1) == x, bit for bit
+        tiny = np.finfo(np.float64).smallest_subnormal
+        big = np.finfo(np.float64).max
+        edges = np.array([0.0, -0.0, tiny, -tiny, 2.2e-308, -2.2e-308, 1e-300, 1.0,
+                          -1.0, 1 - 2 ** -53, 1 + 2 ** -52, 1e300, -1e300, big, -big])
+        rng = np.random.default_rng(1)
+        spread = rng.choice([-1.0, 1.0], 200_000) * 10.0 ** rng.uniform(-320, 308, 200_000)
+        for x in (edges, spread, rng.uniform(-8.0, 8.0, 200_000)):
+            assert np.array_equal(bits(np.power(x, np.ones(x.size))), bits(x))
 
     def test_rows_equal_pow_where_a_scalar_exponent_squares(self):
         # numpy computes x ** 2 for a scalar exponent 2 as x * x, which
@@ -170,26 +197,29 @@ class TestPowerCache:
         # cache built as levels[None, :] ** n[:, None] would hit that path
         levels = np.unique(np.random.default_rng(2).uniform(-3.0, 8.0, 10_000))
         s = make_spectrum(levels, np.ones(levels.size, dtype=np.int64))
-        expected = np.ascontiguousarray((levels[:, None] ** np.arange(1, 13)[None, :]).T)
+        expected = self.broadcast(levels, 12)
         squared = levels[None, :] ** np.arange(1, 13)[:, None]
         assert not np.array_equal(squared[1], expected[1])
-        assert s._powers(12).tobytes() == expected.tobytes()
+        powers = s._powers(12)
+        assert powers[0] is s.levels
+        assert np.stack(powers[1:]).tobytes() == expected[1:].tobytes()
 
     def test_second_call_returns_the_same_array(self):
         s = make_spectrum([0.0, 0.5, 2.0], [1, 1, 1])
-        powers = s._powers(4)
-        assert s._powers(4) is powers
-        assert s._powers(2) is powers
+        block = s._power_block(4)
+        assert s._power_block(4) is block
+        assert s._power_block(2) is block
+        assert all(row.base is block for row in s._powers(3)[1:])
 
     def test_wider_order_rebuilds_with_equal_columns(self):
         s = make_spectrum(np.linspace(-3.0, 3.0, 50), [1] * 50)
         narrow = s._powers(3)
         wide = s._powers(20)
-        assert wide.shape == (20, 50)
-        assert s._powers(7) is wide
-        assert wide[:3].tobytes() == narrow.tobytes()
-        expected = s.levels[:, None] ** np.arange(1, 21)[None, :]
-        assert wide.tobytes() == np.ascontiguousarray(expected.T).tobytes()
+        assert len(wide) == 20
+        assert s._power_block(20).shape == (19, 50)
+        assert s._power_block(7) is s._power_block(20)
+        assert np.stack(wide[:3]).tobytes() == np.stack(narrow).tobytes()
+        assert np.stack(wide).tobytes() == self.broadcast(s.levels, 20).tobytes()
 
     def test_eq_and_repr_unchanged(self):
         s = make_spectrum([0.0, 1.0, 2.5], [1, 2, 1])
@@ -206,18 +236,21 @@ class TestPowerCache:
         # still get at least the columns it asked for, with correct values
         spectra_ = [make_spectrum(np.linspace(-1.0, 1.0, 300) + k, [1] * 300)
                     for k in range(40)]
-        expected = [(sp.levels[:, None] ** np.arange(1, 21)[None, :]).T for sp in spectra_]
+        expected = [self.broadcast(sp.levels, 20) for sp in spectra_]
         failures = []
 
         def worker(seed):
-            rng = np.random.default_rng(seed)
-            for _ in range(3):
-                for sp, full in zip(spectra_, expected):
-                    order = int(rng.integers(1, 21))
-                    powers = sp._powers(order)
-                    width = powers.shape[0]
-                    if width < order or not np.array_equal(powers, full[:width]):
-                        failures.append((order, width))
+            try:
+                rng = np.random.default_rng(seed)
+                for _ in range(3):
+                    for sp, full in zip(spectra_, expected):
+                        order = int(rng.integers(1, 21))
+                        powers = sp._powers(order)
+                        width = len(powers)
+                        if width < order or not np.array_equal(np.stack(powers), full[:width]):
+                            failures.append((order, width))
+            except Exception as exc:  # a worker's exception would only warn
+                failures.append(exc)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
