@@ -11,7 +11,6 @@ numpy and every numeric module of the package (``spectrum``, ``extbg``,
 from __future__ import annotations
 
 import argparse
-import sys
 
 import numpy as np
 
@@ -127,7 +126,3 @@ _HANDLERS = {
     "solve": _run_solve,
     "entropy": _run_entropy,
 }
-
-
-if __name__ == "__main__":
-    sys.exit(main())

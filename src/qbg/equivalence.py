@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsideConvergenceDomain
-from .extbg import _normalize, _spare_rows, _truncated_exponents
+from .extbg import _distributions
 from .params import QParams, _require_order, q_to_multipliers
 from .qstat import q_distribution
 from .spectrum import EnergySpectrum
@@ -56,15 +56,13 @@ def equivalence_report(
     >= 1: there the truncated series is not guaranteed to approach the
     q-distribution and the distances would be noise.
 
-    The order-N exponents come from one pass over the spectrum's cached
-    powers, in the summation order of a fresh order-N
-    :func:`~qbg.extbg.ext_distribution`, so each distance is the one a
-    fresh evaluation gives.  Everything runs in place: with the spectrum's
+    The order-N distributions come from one sweep over the spectrum's
+    cached powers (:func:`~qbg.extbg._distributions`), each bit for bit a
+    fresh order-N :func:`~qbg.extbg.ext_distribution`.  With the spectrum's
     caches warm, the call holds five level-sized arrays at its peak below
-    order 16, six from 16 on (the exact probabilities, the running sum,
-    and a scratch block of three rows, four from order 16, whose first two
-    rows hold ``log g - s`` and the probabilities).
-    """
+    order 16, six from 16 on: the exact probabilities, and the sweep's
+    running sum and scratch block (three rows, four from order 16), whose
+    first two rows hold ``log g - s`` and the probabilities."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     _require_order(max_order)
@@ -74,15 +72,8 @@ def equivalence_report(
             f"domain ratio {ratio} >= 1; the expansion does not converge on this spectrum"
         )
     exact, _ = q_distribution(spectrum, params)
-    log_g = spectrum._log_g()
-    # shared: the sweep writes it only inside next(), this loop only between yields
-    scratch = _spare_rows(max_order, len(spectrum))
-    log_w, probs = scratch[0], scratch[1]
     distances = []
-    # one errstate for the whole sweep, which needs it (see _truncated_exponents)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in _truncated_exponents(spectrum, q_to_multipliers(params, max_order), scratch):
-            _normalize(np.subtract(log_g, s, out=log_w), probs)
-            np.subtract(probs, exact.probs, out=probs)
-            distances.append(float(np.abs(probs, out=probs).max()))
+    for probs, _ in _distributions(spectrum, q_to_multipliers(params, max_order)):
+        np.subtract(probs, exact.probs, out=probs)
+        distances.append(float(np.abs(probs, out=probs).max()))
     return EquivalenceReport(tuple(range(1, max_order + 1)), tuple(distances), ratio)

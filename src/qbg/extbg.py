@@ -49,7 +49,8 @@ def _pairwise(column, n: int, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
     a lane's later terms, and a lane has more than one only from 16 terms.
 
     numpy starts the short loop from 0.0, which can only turn a -0.0 into
-    0.0; callers add the row reduction's leading 0.0, which does the same."""
+    0.0; :func:`_prefix_sums`, the one caller, adds the row reduction's
+    leading 0.0, which does the same."""
     b1, b2, b3 = spare[:3]
     if n < 8:
         column(1, out)
@@ -76,9 +77,9 @@ def _pairwise(column, n: int, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
     return out
 
 
-def _prefix_sums(column, count: int, scratch: np.ndarray):
-    """Yield the sum of terms 1..N for N = 1..count, equal bit for bit to
-    ``np.add.reduce(M[:, :N], axis=1)`` of the C-ordered matrix M whose
+def _prefix_sums(column, count: int, scratch: np.ndarray, first: int):
+    """Yield the sum of terms 1..N for N = first..count, equal bit for bit
+    to ``np.add.reduce(M[:, :N], axis=1)`` of the C-ordered matrix M whose
     column n - 1 holds term n; ``column(n, buf)`` writes term n into
     ``buf``.  Every yield is the same array, overwritten by the next
     order's sum.  ``scratch``, the :func:`_spare_rows` of ``count`` terms
@@ -88,18 +89,22 @@ def _prefix_sums(column, count: int, scratch: np.ndarray):
 
     numpy reduces a row as ``0.0 + pairwise_sum(row)``.  Between the points
     where the pairwise tree changes shape (N = 1 and every multiple of 8)
-    that is the sum for N - 1 plus term N, so a sweep costs one column per
-    order and works in ``scratch`` and one sum buffer.  ``count`` is at most
-    MAX_ORDER, as :func:`_pairwise` requires.
+    that is the sum for N - 1 plus term N, so the sweep starts at the last
+    such point at or below ``first`` and costs one column per order after
+    it; adding the leading 0.0 there, not last, can only change the sign
+    of a zero sum, which the 0.0 clears either way.  It works in
+    ``scratch`` and one sum buffer.  ``count`` is at most MAX_ORDER, as
+    :func:`_pairwise` requires.
     """
     acc = np.empty(scratch.shape[1])
-    for n in range(1, count + 1):
+    for n in range(max(1, first - first % 8), count + 1):
         if n == 1 or n % 8 == 0:
             _pairwise(column, n, acc, scratch)
             np.add(0.0, acc, out=acc)
         else:
             np.add(acc, column(n, scratch[0]), out=acc)
-        yield acc
+        if n >= first:
+            yield acc
 
 
 def _term_column(spectrum: EnergySpectrum, m: MultiplierVector):
@@ -135,38 +140,31 @@ def _checked(s: np.ndarray, column, order: int) -> np.ndarray:
     return s
 
 
-def _truncated_exponents(spectrum: EnergySpectrum, m: MultiplierVector, scratch: np.ndarray):
-    """Yield the order-N exponents ``s_i = sum_{n<=N} beta_n * E_i**n`` for
-    N = 1..m.order, each bit for bit the :func:`_exponents` of the first N
-    multipliers.  Every yield is the same array, overwritten by the next
-    order; ``scratch``, the :func:`_spare_rows` of ``m.order`` terms, is
-    used as in :func:`_prefix_sums`.
-
-    Consume it under ``np.errstate(over="ignore", invalid="ignore")``, as
-    :func:`_exponents` runs: a term that overflows then raises
-    :class:`NonFiniteExponent` without a warning first."""
+def _distributions(spectrum: EnergySpectrum, m: MultiplierVector, first: int = 1):
+    """Yield ``(probs, log Z)`` of the order-N distribution
+    ``P_i = g_i * exp(-s_i - log Z)``, ``s_i = sum_{n<=N} beta_n * E_i**n``,
+    for N = first..m.order, each bit for bit what the first N multipliers
+    give alone.  ``probs`` is a row of the sweep's scratch block, valid
+    (and the caller's to overwrite) until the next order.  A term that
+    overflows raises :class:`NonFiniteExponent` at the first yield whose
+    sum holds it, without a warning first."""
     column = _term_column(spectrum, m)
-    sums = _prefix_sums(column, m.order, scratch)
-    for order, s in enumerate(sums, start=1):
-        yield _checked(s, column, order)
+    scratch = _spare_rows(m.order, len(spectrum))
+    log_w, probs = scratch[0], scratch[1]
+    log_g = spectrum._log_g()
+    sums = _prefix_sums(column, m.order, scratch, first)
+    for order in range(first, m.order + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = _checked(next(sums), column, order)
+        yield _normalize(np.subtract(log_g, s, out=log_w), probs)
 
 
-def _exponents(spectrum: EnergySpectrum, m: MultiplierVector) -> np.ndarray:
-    """Per-level exponents s_i = sum_n beta_n * E_i**n, summed as numpy sums
-    each row of the term matrix ``beta_n * E_i**n``."""
-    column = _term_column(spectrum, m)
-    s = np.empty(len(spectrum))
-    with np.errstate(over="ignore", invalid="ignore"):
-        _pairwise(column, m.order, s, _spare_rows(m.order, s.size))
-        return _checked(np.add(0.0, s, out=s), column, m.order)
-
-
-def _logsumexp(a: np.ndarray, work: np.ndarray | None = None) -> float:
+def _logsumexp(a: np.ndarray, work: np.ndarray) -> float:
     """``log sum_i exp(a_i)`` of a 1-D float64 array with a finite maximum,
     bit for bit as ``scipy.special.logsumexp`` (1.17): the m entries tied at
     the maximum give ``log1p(s / m) + log(m) + max``, s the others' sum.
     ``work``, a float64 array shaped like ``a`` other than ``a``, is
-    overwritten as scratch; without it one is allocated."""
+    overwritten as scratch."""
     a_max = a.max(keepdims=True)
     ties = a == a_max
     m = np.array([np.count_nonzero(ties)], dtype=np.float64)
@@ -179,11 +177,11 @@ def _logsumexp(a: np.ndarray, work: np.ndarray | None = None) -> float:
     return float((np.log1p(s) + np.log(m) + a_max)[0])
 
 
-def _normalize(a: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+def _normalize(a: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, float]:
     """Probabilities ``exp(a_i - log Z)`` and ``log Z = log sum_i exp(a_i)``
     from per-level log weights ``a`` (``-inf`` marks a zero weight).  The
-    probabilities go into ``out`` if given (a float64 array shaped like
-    ``a``, other than ``a``), else into a new array."""
+    probabilities go into ``out``, a float64 array shaped like ``a``, other
+    than ``a``."""
     log_z = _logsumexp(a, out)
     probs = np.subtract(a, log_z, out=out)
     return np.exp(probs, out=probs), log_z
@@ -191,14 +189,14 @@ def _normalize(a: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray
 
 def log_partition(spectrum: EnergySpectrum, m: MultiplierVector) -> float:
     """log of ``sum_i g_i * exp(-sum_n beta_n E_i**n)``, max-shift stable."""
-    return _logsumexp(spectrum._log_g() - _exponents(spectrum, m))
+    return next(_distributions(spectrum, m, m.order))[1]
 
 
 def ext_distribution(
     spectrum: EnergySpectrum, m: MultiplierVector
 ) -> tuple[Distribution, float]:
     """Distribution ``P_i = g_i * exp(-sum_n beta_n E_i**n - log Z)`` and log Z."""
-    probs, log_z = _normalize(spectrum._log_g() - _exponents(spectrum, m))
+    probs, log_z = next(_distributions(spectrum, m, m.order))
     return Distribution(probs), log_z
 
 

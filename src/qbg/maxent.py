@@ -69,7 +69,8 @@ class SolverOptions:
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer))
+                or self.max_iter < 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 

@@ -263,15 +263,16 @@ def multipliers_to_q(m: MultiplierVector, tol: float):
     :class:`QParams` accepts it; otherwise None.  Where floats under- or
     overflow on the way, the check is redone in exact rational arithmetic.
     A negative beta_1 also yields None, since a nonnegative inverse
-    temperature cannot reproduce it.  A NaN ``tol`` raises ``ValueError``:
-    every comparison with it is false, so it would accept any vector.
+    temperature cannot reproduce it, and so does a negative ``tol``.  A NaN
+    ``tol`` raises ``ValueError``: every comparison with it is false, so it
+    would accept any vector.
     """
     if math.isnan(tol):
         raise ValueError("tol must not be NaN")
     b1 = m.coeffs[0]
     if b1 == 0:
         raise ZeroLeadingMultiplier("the first multiplier must be nonzero")
-    if b1 < 0:
+    if b1 < 0 or tol < 0:
         return None
     try:
         q = _matched_q(m.coeffs, tol)
@@ -314,11 +315,16 @@ def clayton_to_q(delta):
 
 def _pairs(path, form: str):
     """``(lineno, left, right)`` for each ``left,right`` line of a file,
-    skipping blank lines and ``#`` comments."""
+    skipping blank lines, ``#`` comments and a first other line that reads
+    ``form``: the column names of a report, so a report can be read back."""
+    header = form
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
+                continue
+            is_header, header = line == header, None
+            if is_header:
                 continue
             parts = line.split(",")
             if len(parts) != 2:

@@ -103,13 +103,25 @@ class TestMap:
         mapped = tmp_path / "map.csv"
         run_cli("map", "--q", "0.9999999999999999", "--beta", "1e160", "--order", "2",
                 "--out", mapped)
-        multipliers = tmp_path / "m.csv"
-        multipliers.write_text("".join(f"{n},{b}\n" for n, b in parse_report(mapped)[2]))
         out = tmp_path / "inv.csv"
-        run_cli("invert-map", "--multipliers", multipliers, "--out", out)
+        run_cli("invert-map", "--multipliers", mapped, "--out", out)
         meta, _, rows = parse_report(out)
         assert meta["matched"] == "true"
         assert rows == [["0.9999999999999999", "1e+160"]]
+
+
+    @pytest.mark.parametrize("q, beta, order", [("0.98", "1", "6"), ("1.5", "0.25", "12"),
+                                                ("1", "2", "3")])
+    def test_report_round_trips_through_invert_map(self, tmp_path, q, beta, order):
+        mapped = tmp_path / "map.csv"
+        run_cli("map", "--q", q, "--beta", beta, "--order", order, "--out", mapped)
+        out = tmp_path / "inv.csv"
+        run_cli("invert-map", "--multipliers", mapped, "--out", out)
+        meta, _, rows = parse_report(out)
+        assert meta["order"] == order
+        assert meta["matched"] == "true"
+        assert [float(x) for x in rows[0]] == pytest.approx([float(q), float(beta)],
+                                                             rel=1e-12)
 
 
 class TestClayton:
@@ -257,6 +269,21 @@ class TestSolve:
         assert meta["converged"] == "true"
         assert float(rows[0][1]) == pytest.approx(math.log(2), abs=1e-9)
 
+    def test_report_round_trips_through_dist_ext(self, tmp_path, spectrum_file):
+        # the solved multipliers reproduce the target moments
+        solved = tmp_path / "solve.csv"
+        run_cli("solve", "--spectrum", spectrum_file, "--targets", "1.5,4", "--out", solved)
+        assert parse_report(solved)[0]["converged"] == "true"
+        out = tmp_path / "dist.csv"
+        run_cli("dist-ext", "--spectrum", spectrum_file, "--multipliers", solved,
+                "--out", out)
+        meta, _, rows = parse_report(out)
+        assert meta["order"] == "2"
+        probs = [float(r[2]) for r in rows]
+        for n, target in ((1, 1.5), (2, 4.0)):
+            moment = math.fsum(p * e ** n for e, p in zip(range(6), probs))
+            assert moment == pytest.approx(target, rel=1e-9)
+
     def test_infeasible_targets_fail_without_output(self, tmp_path, spectrum_file):
         out = tmp_path / "solve.csv"
         result = run_cli("solve", "--spectrum", spectrum_file, "--targets", "9.5",
@@ -276,6 +303,17 @@ class TestInvertMap:
         assert header == "q,beta"
         assert meta["matched"] == "true"
         assert rows == [["0.98", "1.0"]]
+
+    def test_negative_tol_never_matches(self, tmp_path):
+        # an order-1 vector is always Boltzmann, but no tolerance is below 0
+        multipliers = tmp_path / "m.csv"
+        multipliers.write_text("1,0.5\n")
+        out = tmp_path / "inv.csv"
+        run_cli("invert-map", "--multipliers", multipliers, "--tol", "-1", "--out", out)
+        meta, _, rows = parse_report(out)
+        assert meta["tol"] == "-1.0"
+        assert meta["matched"] == "false"
+        assert rows == []
 
     def test_no_match_writes_empty_table(self, tmp_path):
         multipliers = tmp_path / "m.csv"

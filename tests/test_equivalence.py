@@ -116,6 +116,12 @@ class TestMultipliersToQ:
         assert multipliers_to_q(MultiplierVector((1.0, 0.01, 5.0)), -1.0) is None
         consistent = q_to_multipliers(QParams(0.98, 1.0), 3)
         assert multipliers_to_q(consistent, -1e-9) is None
+        # at order 1 nothing is compared, and a predicted beta_2 below 1e-300
+        # is held to an absolute 1e-12, not to tol
+        assert multipliers_to_q(MultiplierVector((0.5,)), -1.0) is None
+        tiny = MultiplierVector((1e-160, 1e-310))
+        assert multipliers_to_q(tiny, 1e-9) is not None
+        assert multipliers_to_q(tiny, -math.inf) is None
 
     def test_single_coefficient_is_boltzmann(self):
         assert multipliers_to_q(MultiplierVector((0.5,)), 1e-9) == QParams(1.0, 0.5)

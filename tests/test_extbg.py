@@ -26,12 +26,12 @@ from qbg import (
 )
 from qbg.errors import LengthMismatch, NonFiniteExponent, OrderTooLarge, ParseError
 from qbg.extbg import (
-    _exponents,
+    _distributions,
     _logsumexp,
     _pairwise,
     _prefix_sums,
     _spare_rows,
-    _truncated_exponents,
+    _term_column,
 )
 from qbg.spectrum import _power_matrix
 
@@ -337,6 +337,25 @@ class TestLoadMultipliers:
         with pytest.raises(ParseError):
             load_multipliers(path)
 
+    def test_column_names_skipped_as_first_line(self, tmp_path):
+        # the header row of a map, clayton or solve report
+        path = tmp_path / "m.csv"
+        path.write_text("# tool: qbg\n\nn,beta_n\n1,0.5\n2,-0.25\n")
+        assert load_multipliers(path).coeffs == (0.5, -0.25)
+
+    @pytest.mark.parametrize("text, line", [
+        ("n,beta_n\nn,beta_n\n1,0.5\n", 2),
+        ("1,0.5\nn,beta_n\n", 2),
+        ("# c\nenergy,degeneracy\n1,0.5\n", 2),
+        ("N,beta_n\n1,0.5\n", 1),
+    ])
+    def test_other_text_lines_rejected(self, tmp_path, text, line):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load_multipliers(path)
+        assert exc.value.line_number == line
+
 
 class TestLogSumExpMatchesScipy:
     """``_logsumexp`` must equal ``scipy.special.logsumexp`` bit for bit:
@@ -345,7 +364,7 @@ class TestLogSumExpMatchesScipy:
     @staticmethod
     def check(a):
         a = np.asarray(a, dtype=np.float64)
-        assert _logsumexp(a) == float(scipy_logsumexp(a))
+        assert _logsumexp(a, np.empty_like(a)) == float(scipy_logsumexp(a))
 
     @pytest.mark.parametrize("a", [
         [0.0],
@@ -395,9 +414,13 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
-def sweep_of(spectrum, m):
-    """The exponent sweep of ``m`` over ``spectrum``, with its own scratch."""
-    return _truncated_exponents(spectrum, m, _spare_rows(m.order, len(spectrum)))
+def exponents(spectrum, m, first=1):
+    """Copies of the exponent sums ``sum_{n<=N} beta_n * E_i**n`` of ``m``
+    over ``spectrum`` for N = first..m.order, as the sweep forms them."""
+    column = _term_column(spectrum, m)
+    scratch = _spare_rows(m.order, len(spectrum))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [s.copy() for s in _prefix_sums(column, m.order, scratch, first)]
 
 
 class TestPrefixSumsMatchNumpy:
@@ -429,12 +452,30 @@ class TestPrefixSumsMatchNumpy:
         rows = self.matrix(rng, 6000, 20)[::2]
         for m in (wide, rows):
             scratch = np.empty((4, m.shape[0]))
-            sums = _prefix_sums(self.columns(m), 20, scratch)
+            sums = _prefix_sums(self.columns(m), 20, scratch, 1)
             for n, s in enumerate(sums, start=1):
                 for view in (np.ascontiguousarray(m[:, :n]), m[:, :n]):
                     assert np.array_equal(bits(s), bits(np.add.reduce(view, axis=1)))
                 # between yields the scratch is the caller's to overwrite
                 scratch.fill(np.nan)
+
+    def test_a_sweep_from_any_first_order(self):
+        # the sweep restarts at the last N = 1 or multiple of 8 at or below
+        # `first`; whole -0.0 columns at and after those points would show a
+        # leading 0.0 added in the wrong place
+        rng = np.random.default_rng(19)
+        wide = self.matrix(rng, 3000, 20)
+        rows = self.matrix(rng, 6000, 20)[::2]
+        for m in (wide, rows):
+            m[:, [0, 1, 7, 8, 15, 16]] = -0.0
+            scratch = np.empty((4, m.shape[0]))
+            for first in range(1, 21):
+                (s,) = _prefix_sums(self.columns(m), first, scratch, first)
+                for view in (np.ascontiguousarray(m[:, :first]), m[:, :first]):
+                    assert np.array_equal(bits(s), bits(np.add.reduce(view, axis=1)))
+                sums = _prefix_sums(self.columns(m), 20, scratch, first)
+                for n, s in enumerate(sums, start=first):
+                    assert np.array_equal(bits(s), bits(np.add.reduce(m[:, :n], axis=1)))
 
     def test_pairwise_needs_a_fourth_spare_row_only_from_16_terms(self):
         rng = np.random.default_rng(16)
@@ -458,35 +499,68 @@ class TestPrefixSumsMatchNumpy:
                        np.where(np.arange(20) % 3 == 1, 0.0, -1.0 / 8.0 ** np.arange(1, 21))
                        * np.where(np.arange(20) % 2 == 0, 1.0, -1.0)]:
             terms = levels[:, None] ** np.arange(1, 21)[None, :] * coeffs
-            sweep = sweep_of(s, MultiplierVector(tuple(coeffs)))
+            sweep = exponents(s, MultiplierVector(tuple(coeffs)))
             for n, swept in enumerate(sweep, start=1):
                 expected = bits(terms[:, :n].sum(axis=1))
                 assert np.array_equal(bits(swept), expected)
-                fresh = _exponents(s, MultiplierVector(tuple(coeffs[:n])))
+                (fresh,) = exponents(s, MultiplierVector(tuple(coeffs[:n])), n)
                 assert np.array_equal(bits(fresh), expected)
 
-    def test_nonfinite_term_rejected_at_its_order(self):
-        s = make_spectrum([0.0, 1e200], [1, 1])
-        sweep = sweep_of(s, MultiplierVector((1.0, 1.0)))
-        assert tuple(next(sweep)) == (0.0, 1e200)
+    def test_distributions_from_any_first_order_match_fresh_evaluations(self):
+        rng = np.random.default_rng(43)
+        levels = np.linspace(-2.0, 8.0, 3_001)
+        s = make_spectrum(levels, rng.integers(1, 5, levels.size))
+        coeffs = rng.uniform(-1.0, 1.0, 20) / 8.0 ** np.arange(1, 21)
+        coeffs[[2, 9]] = 0.0
+        m = MultiplierVector(tuple(coeffs))
+        terms = levels[:, None] ** np.arange(1, 21)[None, :] * coeffs
+        for first in range(1, 21):
+            for n, (probs, log_z) in enumerate(_distributions(s, m, first), start=first):
+                head = MultiplierVector(tuple(coeffs[:n]))
+                fresh, fresh_log_z = ext_distribution(s, head)
+                assert np.array_equal(bits(probs), bits(fresh.probs))
+                assert log_z == fresh_log_z == log_partition(s, head)
+                # an independent reference: numpy's row sums and scipy
+                a = np.log(s.degeneracies) - terms[:, :n].sum(axis=1)
+                assert log_z == float(scipy_logsumexp(a))
+                assert np.array_equal(bits(probs), bits(np.exp(a - log_z)))
+
+    @pytest.mark.parametrize("levels, coeffs, k", [
+        ([0.0, 1e200], (1.0, 1.0, 1.0), 2),
+        # 1e30**11 and 1e20**16 overflow
+        ([0.0, 1e30], (1e-31,) + (0.0,) * 9 + (1e-300, 1.0), 11),
+        ([0.0, 1e20], (1e-20,) * 15 + (1e-300,) * 5, 16),
+    ])
+    def test_nonfinite_term_rejected_at_its_order(self, levels, coeffs, k):
+        s = make_spectrum(levels, [1, 1])
+        m = MultiplierVector(coeffs)
         with pytest.raises(NonFiniteExponent):
-            next(sweep)
+            ext_distribution(s, MultiplierVector(coeffs[:k]))
+        for first in range(1, k + 1):
+            sweep = _distributions(s, m, first)
+            for n in range(first, k):
+                _, log_z = next(sweep)
+                assert log_z == log_partition(s, MultiplierVector(coeffs[:n]))
+            with pytest.raises(NonFiniteExponent):
+                next(sweep)
 
     def test_zero_multiplier_times_overflowing_power_is_a_zero_term(self):
         # 1e30**n overflows from n = 11; 0.0 * inf would be NaN
         s = make_spectrum([0.0, 1e30], [1, 1])
         trailing = MultiplierVector((1e-31,) + (0.0,) * 11)
-        assert tuple(_exponents(s, trailing)) == (0.0, 0.1)
+        assert [tuple(x) for x in exponents(s, trailing, 12)] == [(0.0, 0.1)]
         assert ext_distribution(s, trailing) == ext_distribution(s, MultiplierVector((1e-31,)))
         assert log_partition(s, trailing) == log_partition(s, MultiplierVector((1e-31,)))
-        sweep = sweep_of(s, trailing)
-        assert [tuple(x) for x in sweep] == [(0.0, 0.1)] * 12
+        assert [tuple(x) for x in exponents(s, trailing)] == [(0.0, 0.1)] * 12
+        boltzmann, log_z = ext_distribution(s, MultiplierVector((1e-31,)))
+        assert [(tuple(p), z) for p, z in _distributions(s, trailing)] == (
+            [(tuple(boltzmann.probs), log_z)] * 12)
         nonzero = MultiplierVector((1e-31,) + (0.0,) * 9 + (1e-300,))
         with pytest.raises(NonFiniteExponent):
             ext_distribution(s, nonzero)
-        sweep = sweep_of(s, nonzero)
+        sweep = _distributions(s, nonzero)
         for _ in range(10):
-            assert tuple(next(sweep)) == (0.0, 0.1)
+            assert next(sweep)[1] == log_z
         with pytest.raises(NonFiniteExponent):
             next(sweep)
 
@@ -494,7 +568,7 @@ class TestPrefixSumsMatchNumpy:
         # only a non-finite term is an error; an infinite exponent is a zero weight
         s = make_spectrum([0.0, 1.0], [1, 1])
         m = MultiplierVector((1.7e308, 1.7e308))
-        assert tuple(_exponents(s, m)) == (0.0, np.inf)
+        assert [tuple(x) for x in exponents(s, m, 2)] == [(0.0, np.inf)]
         assert log_partition(s, m) == 0.0
 
 

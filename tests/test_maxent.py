@@ -126,6 +126,8 @@ class TestSolverOptions:
     @pytest.mark.parametrize("field, value", [
         ("tol", math.inf), ("tol", math.nan), ("tol", 0.0), ("tol", -1e-10),
         ("max_iter", 2.5), ("max_iter", math.nan), ("max_iter", 0), ("max_iter", 2.0),
+        # bool is an int subclass; True would run one iteration
+        ("max_iter", True),
     ])
     def test_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -327,6 +327,25 @@ class TestLoadSpectrum:
             load_spectrum(path)
         assert exc.value.line_number == 3
 
+    def test_column_names_skipped_as_first_line(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        path.write_text("# c\nenergy,degeneracy\n0.0,1\n1.5,2\n")
+        s = load_spectrum(path)
+        assert tuple(s.levels) == (0.0, 1.5)
+        assert tuple(s.degeneracies) == (1, 2)
+
+    @pytest.mark.parametrize("text, line", [
+        ("energy,degeneracy\nenergy,degeneracy\n0,1\n", 2),
+        ("0,1\nenergy,degeneracy\n", 2),
+        ("n,beta_n\n0,1\n", 1),
+    ])
+    def test_other_text_lines_rejected(self, tmp_path, text, line):
+        path = tmp_path / "spec.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load_spectrum(path)
+        assert exc.value.line_number == line
+
     def test_nonfinite_energy_rejected(self, tmp_path):
         path = tmp_path / "spec.csv"
         path.write_text("inf,1\n")
