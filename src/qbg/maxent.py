@@ -18,8 +18,13 @@ numerically singular), the step solves ``(H + ridge*I) d = residual`` with a
 ridge added only when the Cholesky factorization fails (1e-12, escalated x10
 up to 1e-6), and an Armijo backtracking line search (constant 1e-4, step
 halved) keeps F non-increasing.  These are fixed constants; only the
-tolerance and the iteration budget are :class:`SolverOptions`.  Recovered
-multipliers are mapped back by ``b_n -> b_n / s**n``.  Every call is
+tolerance and the iteration budget are :class:`SolverOptions`.
+:func:`_dual_state` evaluates each point once, the start and every trial,
+and an accepted trial's ``(log Z, mu, H)`` is the next iterate's; a trial it
+refuses with ``ValueError`` (a non-finite vector, or probabilities
+``Distribution`` rejects) is a failed trial.  Multipliers are mapped back by
+``b_n -> b_n / s**n``, and a spectrum whose ``max|E|**n`` overflows for an n
+up to the order raises :class:`NonFiniteExponent`.  Every call is
 deterministic and holds no global state.
 
 The Cholesky step calls LAPACK ``dpotrf``/``dpotrs`` exactly as
@@ -43,11 +48,12 @@ import numpy as np
 
 from .errors import (
     InfeasibleTargets,
+    NonFiniteExponent,
     NotConverged,
     OrderMismatch,
     TooFewLevels,
 )
-from .extbg import ext_distribution, log_partition
+from .extbg import ext_distribution
 from .params import MomentVector, MultiplierVector, _require_order
 from .spectrum import EnergySpectrum, _power_matrix, rescale
 
@@ -88,9 +94,7 @@ def dual_gradient(
 ) -> np.ndarray:
     """Moment residual ``mu_n(b) - mu_n^target`` (negative gradient of F)."""
     if targets.order != m.order:
-        raise OrderMismatch(
-            f"multiplier order {m.order} but target order {targets.order}"
-        )
+        raise OrderMismatch(f"multiplier order {m.order} but target order {targets.order}")
     _, mu, _ = _dual_state(spectrum, m, _power_matrix(spectrum, m.order))
     return mu - np.asarray(targets.values)
 
@@ -136,10 +140,10 @@ def _lapack():
     return module.dpotrf, module.dpotrs
 
 
-def _newton_direction(h: np.ndarray, residual: np.ndarray, ridge_floor: float):
+def _newton_direction(h: np.ndarray, residual: np.ndarray):
     """Solve (H + ridge*I) d = residual; ridge only on factorization failure,
-    escalated x10 up to 1e-6.  A non-finite H, residual or factor raises
-    ``ValueError``."""
+    1e-12 escalated x10 up to 1e-6, or None past that.  A non-finite H,
+    residual or factor raises ``ValueError``."""
     potrf, potrs = _lapack()
     # the calls and checks of scipy.linalg.cho_factor(lower=True) and
     # cho_solve; numpy's Cholesky differs in bits
@@ -156,8 +160,8 @@ def _newton_direction(h: np.ndarray, residual: np.ndarray, ridge_floor: float):
                 return direction
         if info < 0:
             raise ValueError(f"LAPACK reported an illegal value in argument {-info}")
-        ridge = ridge_floor if ridge == 0 else ridge * 10
-        if ridge > _MAX_RIDGE or ridge == 0:
+        ridge = ridge * 10 if ridge else _RIDGE_FLOOR
+        if ridge > _MAX_RIDGE:
             return None
 
 
@@ -175,60 +179,62 @@ def solve_multipliers(
     mu_2 < mu_1**2), and :class:`NotConverged` (carrying the best multipliers
     and a report) when the iteration budget or the line search is exhausted,
     which is the honest diagnostic for targets on or outside the boundary of
-    the achievable moment set.
+    the achievable moment set; :class:`NonFiniteExponent` if ``max|E|**n``
+    overflows for an n up to the order.
     """
     if opts is None:
         opts = SolverOptions()
     n_order = targets.order
     _require_order(n_order)
     if len(spectrum) < n_order + 1:
-        raise TooFewLevels(
-            f"order {n_order} needs at least {n_order + 1} distinct levels, "
-            f"spectrum has {len(spectrum)}"
-        )
+        raise TooFewLevels(f"order {n_order} needs at least {n_order + 1} distinct levels, "
+                           f"spectrum has {len(spectrum)}")
     mu_t = np.asarray(targets.values)
     e_min, e_max = float(spectrum.levels[0]), float(spectrum.levels[-1])
     if mu_t[0] < e_min or mu_t[0] > e_max:
-        raise InfeasibleTargets(
-            f"mu_1 = {mu_t[0]} lies outside the level range [{e_min}, {e_max}]"
-        )
+        raise InfeasibleTargets(f"mu_1 = {mu_t[0]} lies outside the level range "
+                                f"[{e_min}, {e_max}]")
     if n_order >= 2 and mu_t[1] < mu_t[0] ** 2:
-        raise InfeasibleTargets(
-            f"mu_2 = {mu_t[1]} < mu_1**2 = {mu_t[0] ** 2}: negative variance"
-        )
+        raise InfeasibleTargets(f"mu_2 = {mu_t[1]} < mu_1**2 = {mu_t[0] ** 2}: negative variance")
 
     scale = max(abs(e_min), abs(e_max))
     scaled = rescale(spectrum, scale)
-    powers_of_scale = scale ** np.arange(1, n_order + 1)
+    with np.errstate(over="ignore"):
+        powers_of_scale = scale ** np.arange(1, n_order + 1)
+    if np.isinf(powers_of_scale[-1]):   # s**n rises with n where it overflows
+        n = int(np.isinf(powers_of_scale).argmax()) + 1
+        raise NonFiniteExponent(f"max|E|**{n} = {scale!r}**{n} overflows; rescale the spectrum")
     t_scaled = mu_t / powers_of_scale
 
     pw = _power_matrix(scaled, n_order)
     b = np.zeros(n_order)
+    log_z, mu, h = _dual_state(scaled, MultiplierVector(tuple(b)), pw)
     iterations = 0
     final_step = 0.0
     why = None
     while True:
-        log_z, mu, h = _dual_state(scaled, MultiplierVector(tuple(b)), pw)
         residual = mu - t_scaled
         residual_norm = float(np.max(np.abs(residual)))
-        dual_value = log_z + float(b @ t_scaled)
-
         if residual_norm <= opts.tol:
             break
         if iterations >= opts.max_iter:
             why = "iteration budget exhausted"
             break
-        direction = _newton_direction(h, residual, _RIDGE_FLOOR)
+        direction = _newton_direction(h, residual)
         if direction is None:
             why = "Hessian factorization failed beyond the ridge cap"
             break
+        dual_value = log_z + float(b @ t_scaled)
         # F decreases along d: grad F = -residual, so grad.d = -r.H^-1.r < 0
         slope = -float(residual @ direction)
         step = 1.0
         while step >= _MIN_STEP:
             trial = b + step * direction
-            trial_log_z = log_partition(scaled, MultiplierVector(tuple(trial)))
-            trial_dual = trial_log_z + float(trial @ t_scaled)
+            try:
+                state = _dual_state(scaled, MultiplierVector(tuple(trial)), pw)
+                trial_dual = state[0] + float(trial @ t_scaled)
+            except ValueError:   # a non-finite trial, or probabilities Distribution refuses
+                trial_dual = math.nan
             if math.isfinite(trial_dual) and trial_dual <= dual_value + _ARMIJO_C * step * slope:
                 break
             step *= _BACKTRACK_FACTOR
@@ -236,21 +242,14 @@ def solve_multipliers(
             why = "line search stalled"
             break
         b = trial
+        log_z, mu, h = state
         iterations += 1
         final_step = step
 
     multipliers = MultiplierVector(tuple(b / powers_of_scale))
-    report = SolverReport(
-        converged=why is None,
-        iterations=iterations,
-        residual_norm=residual_norm,
-        final_step_size=final_step,
-        rescale_factor=scale,
-    )
+    report = SolverReport(why is None, iterations, residual_norm, final_step, scale)
     if why is not None:
         raise NotConverged(
             f"{why}; residual sup norm {residual_norm:.3e} after {iterations} iterations",
-            multipliers=multipliers,
-            report=report,
-        )
+            multipliers=multipliers, report=report)
     return multipliers, report

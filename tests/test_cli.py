@@ -292,6 +292,22 @@ class TestSolve:
         assert "InfeasibleTargets" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("levels, targets, message", [
+        # a trial's probabilities sum to 1.0015, a failed trial like any other
+        ("0 1 2 3", "1.5,2.25", "NotConverged: "),
+        ("0 1 2 1e160", "1.0,1.5",
+         "NonFiniteExponent: max|E|**2 = 1e+160**2 overflows; rescale the spectrum\n"),
+    ], ids=["refused-trial", "overflowing-power"])
+    def test_unsolved_targets_fail_with_one_line(self, tmp_path, levels, targets, message):
+        spectrum = tmp_path / "s.csv"
+        spectrum.write_text("".join(f"{e},1\n" for e in levels.split()))
+        out = tmp_path / "solve.csv"
+        result = run_cli("solve", "--spectrum", spectrum, "--targets", targets, "--out", out,
+                         check=False)
+        assert result.returncode == 1
+        assert result.stderr.startswith(message) and result.stderr.count("\n") == 1
+        assert not out.exists()
+
 
 class TestInvertMap:
     def test_match(self, tmp_path):

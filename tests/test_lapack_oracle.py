@@ -32,7 +32,7 @@ RECORDED = json.loads(
 )["cases"]
 
 
-def scipy_direction(h, residual, ridge_floor):
+def scipy_direction(h, residual):
     """The solver's step as it was written on scipy.linalg."""
     n = h.shape[0]
     ridge = 0.0
@@ -43,7 +43,7 @@ def scipy_direction(h, residual, ridge_floor):
             )
             return scipy.linalg.cho_solve(factor, residual)
         except np.linalg.LinAlgError:
-            ridge = ridge_floor if ridge == 0 else ridge * 10
+            ridge = maxent_module._RIDGE_FLOOR if ridge == 0 else ridge * 10
             if ridge > maxent_module._MAX_RIDGE or ridge == 0:
                 return None
 
@@ -52,7 +52,7 @@ def bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
-def assert_same_factor_and_step(h, residual, ridge_floor=1e-12):
+def assert_same_factor_and_step(h, residual):
     potrf, potrs = maxent_module._lapack()
     factor, info = potrf(h, lower=1, clean=0)
     try:
@@ -65,8 +65,8 @@ def assert_same_factor_and_step(h, residual, ridge_floor=1e-12):
         got, info = potrs(factor, residual, lower=1)
         assert info == 0
         assert bits(got) == bits(scipy.linalg.cho_solve((expected, True), residual))
-    got = newton_direction(h, residual, ridge_floor)
-    want = scipy_direction(h, residual, ridge_floor)
+    got = newton_direction(h, residual)
+    want = scipy_direction(h, residual)
     assert (got is None) == (want is None)
     if want is not None:
         assert bits(got) == bits(want)
@@ -74,12 +74,12 @@ def assert_same_factor_and_step(h, residual, ridge_floor=1e-12):
 
 @pytest.fixture
 def seen(monkeypatch):
-    """Every (H, residual, ridge floor) the solver passes to its Newton step."""
+    """Every (H, residual) the solver passes to its Newton step."""
     calls = []
 
-    def recording(h, residual, ridge_floor):
-        calls.append((h.copy(), residual.copy(), ridge_floor))
-        return newton_direction(h, residual, ridge_floor)
+    def recording(h, residual):
+        calls.append((h.copy(), residual.copy()))
+        return newton_direction(h, residual)
 
     monkeypatch.setattr(maxent_module, "_newton_direction", recording)
     return calls
@@ -95,8 +95,8 @@ def test_every_step_of_the_recorded_solves(case, seen, tmp_path):
     args = [a.replace("{dir}", str(tmp_path)) for a in case["args"]]
     assert main(["solve", *args, "--out", str(tmp_path / "report.csv")]) == 0
     assert seen
-    for h, residual, ridge_floor in seen:
-        assert_same_factor_and_step(h, residual, ridge_floor)
+    for h, residual in seen:
+        assert_same_factor_and_step(h, residual)
 
 
 def _round_trip_steps(seen, levels, degs, shape):
@@ -123,8 +123,8 @@ def test_every_step_of_small_round_trips(seed, seen):
         gaps = rng.uniform(0.2, 1.0, n - 1)
         levels = (rng.uniform(-1.0, 0.5) + np.concatenate([[0.0], np.cumsum(gaps)])).tolist()
         _round_trip_steps(seen, levels, rng.integers(1, 4, n).tolist(), SHAPES[i % len(SHAPES)])
-    for h, residual, ridge_floor in seen:
-        assert_same_factor_and_step(h, residual, ridge_floor)
+    for h, residual in seen:
+        assert_same_factor_and_step(h, residual)
 
 
 @pytest.mark.parametrize("seed", [41, 42])
@@ -137,8 +137,8 @@ def test_every_step_of_large_round_trips(seed, seen):
     degs = rng.integers(1, 5, grid.size).tolist()
     for shape in SHAPES:
         _round_trip_steps(seen, levels, degs, shape)
-    for h, residual, ridge_floor in seen:
-        assert_same_factor_and_step(h, residual, ridge_floor)
+    for h, residual in seen:
+        assert_same_factor_and_step(h, residual)
 
 
 def random_symmetric(rng):
@@ -173,7 +173,7 @@ def test_seeded_random_matrices():
             scipy.linalg.cho_factor(h, lower=True)
         except np.linalg.LinAlgError:
             failed += 1
-        assert_same_factor_and_step(h, residual, float(10.0 ** rng.uniform(-14, -8)))
+        assert_same_factor_and_step(h, residual)
     # not positive definite, so the ridge escalation is compared too
     assert failed > 1000
 
@@ -187,9 +187,9 @@ def test_non_finite_input_is_a_value_error(bad):
         with pytest.raises(ValueError):
             scipy.linalg.cho_factor(broken, lower=True)
         with pytest.raises(ValueError):
-            newton_direction(broken, np.ones(2), 1e-12)
+            newton_direction(broken, np.ones(2))
     with pytest.raises(ValueError):
-        newton_direction(h, np.array([1.0, bad]), 1e-12)
+        newton_direction(h, np.array([1.0, bad]))
 
 
 def run_fresh(code):
@@ -206,7 +206,7 @@ STEP = ("import numpy as np; h = np.array([[4.0, 2.0, 1.0], [2.0, 3.0, 0.5], [1.
 
 def test_direct_load_first_then_scipy_linalg():
     out = run_fresh(
-        STEP + "import sys, qbg.maxent as m; d = m._newton_direction(h, r, 1e-12); "
+        STEP + "import sys, qbg.maxent as m; d = m._newton_direction(h, r); "
         "print(sum(k.split('.')[0] == 'scipy' for k in sys.modules)); "
         "import scipy.linalg as la; "
         "print(la._flapack.dpotrf is m._lapack()[0]); "
@@ -219,7 +219,21 @@ def test_scipy_linalg_first_then_direct_load():
     out = run_fresh(
         STEP + "import scipy.linalg as la, qbg.maxent as m; "
         "print(la._flapack.dpotrf is m._lapack()[0]); "
-        "d = m._newton_direction(h, r, 1e-12); "
+        "d = m._newton_direction(h, r); "
         "print(d.tobytes() == la.cho_solve(la.cho_factor(h, lower=True), r).tobytes())"
     )
     assert out == ["True", "True"]
+
+
+def test_ridge_ladder(monkeypatch):
+    # 0, then 1e-12 multiplied by 10 while <= 1e-6: products, not decimal literals
+    tried = []
+
+    def failing_potrf(a, lower, clean):
+        tried.append(float(a[0, 0]))
+        return a, 1
+
+    monkeypatch.setattr(maxent_module, "_lapack", lambda: (failing_potrf, None))
+    assert newton_direction(np.zeros((1, 1)), np.ones(1)) is None
+    assert tried == [0.0, 1e-12, 1e-11, 9.999999999999999e-11, 9.999999999999999e-10,
+                     9.999999999999999e-09, 9.999999999999998e-08, 9.999999999999997e-07]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qbg.extbg as extbg_module
 import qbg.maxent as maxent_module
 from qbg import (
     MomentVector,
@@ -19,6 +20,7 @@ from qbg import (
 )
 from qbg.errors import (
     InfeasibleTargets,
+    NonFiniteExponent,
     NotConverged,
     OrderMismatch,
     OrderTooLarge,
@@ -219,25 +221,71 @@ class TestSolveMultipliers:
             assert report.converged
             assert np.max(np.abs(np.asarray(recovered.coeffs) - coeffs)) <= 1e-7
 
-    def test_dual_objective_is_monotone_along_accepted_iterates(self, monkeypatch):
+    @pytest.mark.parametrize("targets, backtracks", [((1.4, 2.9), False), ((2.2, 6.4), True)],
+                             ids=["full-steps", "backtracking"])
+    def test_dual_objective_is_monotone_along_accepted_iterates(
+            self, monkeypatch, targets, backtracks):
         s = make_spectrum([0.0, 0.4, 1.1, 2.0, 3.5], [1, 1, 2, 1, 1])
-        targets = MomentVector((1.4, 2.9))
-        scale = 3.5
-        t_scaled = np.asarray(targets.values) / scale ** np.arange(1, 3)
+        t_scaled = np.asarray(targets) / 3.5 ** np.arange(1, 3)
+        duals, accepted = [], []
+        dual_state, newton_direction = maxent_module._dual_state, maxent_module._newton_direction
 
-        calls = []
-        original = maxent_module.ext_distribution
+        def recording_state(spectrum, m, pw):
+            state = dual_state(spectrum, m, pw)
+            duals.append(state[0] + float(np.dot(m.coeffs, t_scaled)))
+            return state
 
-        def recording(spectrum, m):
-            dist, log_z = original(spectrum, m)
-            calls.append((m.coeffs, log_z + float(np.dot(m.coeffs, t_scaled))))
-            return dist, log_z
+        def recording_direction(h, residual):
+            # a Newton step starts from the accepted iterate, the evaluation just before it
+            accepted.append(duals[-1])
+            return newton_direction(h, residual)
 
-        monkeypatch.setattr(maxent_module, "ext_distribution", recording)
-        solve_multipliers(s, targets)
-        # the line search evaluates only log Z, so every ext_distribution
-        # call is a loop-top evaluation at an accepted iterate
-        accepted = [dual for _, dual in calls]
-        assert len(accepted) >= 2
+        monkeypatch.setattr(maxent_module, "_dual_state", recording_state)
+        monkeypatch.setattr(maxent_module, "_newton_direction", recording_direction)
+        _, report = solve_multipliers(s, MomentVector(targets))
+        accepted.append(duals[-1])   # the converged iterate
+        assert report.converged and len(accepted) == report.iterations + 1 >= 2
+        assert (len(duals) > len(accepted)) == backtracks   # rejected trials
         for earlier, later in zip(accepted, accepted[1:]):
             assert later <= earlier + 1e-13
+
+    def test_each_point_is_evaluated_once(self, monkeypatch):
+        # the line search backtracks here (44 rejected trials), and an accepted
+        # trial is the next iterate
+        s = make_spectrum([0.0, 0.4, 1.1, 2.0, 3.5], [1, 1, 2, 1, 1])
+        seen = []
+        distributions = extbg_module._distributions
+
+        def recording(spectrum, m, first=1):
+            seen.append(tuple(m.coeffs))
+            return distributions(spectrum, m, first)
+
+        monkeypatch.setattr(extbg_module, "_distributions", recording)
+        _, report = solve_multipliers(s, MomentVector((2.2, 6.4)))
+        assert report.converged and len(seen) > report.iterations + 1
+        assert len(set(seen)) == len(seen)
+
+    def test_refused_trial_is_a_failed_trial(self):
+        # mu_2 = mu_1**2: zero variance, on the boundary of the moment set; a
+        # trial's probabilities sum to 1.0015, which Distribution refuses
+        s = make_spectrum([0, 1, 2, 3], [1] * 4)
+        with pytest.raises(NotConverged) as exc:
+            solve_multipliers(s, MomentVector((1.5, 2.25)))
+        assert isinstance(exc.value.multipliers, MultiplierVector)
+        assert not exc.value.report.converged
+
+    @pytest.mark.parametrize("levels, targets, n", [
+        ([0, 1, 2, 1e160], (1.0, 1.5), 2),
+        ([0, 1, 2, 1e110], (1.0, 1.5, 3.0), 3),
+        ([-1e160, 0, 1, 2], (0.5, 1.5), 2),
+    ])
+    def test_overflowing_rescale_power_is_refused(self, levels, targets, n):
+        # pyproject turns a RuntimeWarning into an error, so none is emitted either
+        with pytest.raises(NonFiniteExponent, match=rf"max\|E\|\*\*{n} = .*\*\*{n} overflows"):
+            solve_multipliers(make_spectrum(levels, [1] * 4), MomentVector(targets))
+
+    def test_finite_rescale_powers_of_a_wide_spectrum_still_solve(self):
+        # order 1 needs only max|E|**1; tol bounds the rescaled residual
+        s = make_spectrum([0, 1, 2, 1e160], [1] * 4)
+        _, report = solve_multipliers(s, MomentVector((1.0,)))
+        assert report.converged and report.rescale_factor == 1e160
