@@ -10,33 +10,31 @@ q-distribution on a spectrum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import OutsideConvergenceDomain
 from .extbg import _distributions
-from .params import QParams, _require_order, q_to_multipliers
+from .params import QParams, _Record, _require_order, q_to_multipliers
 from .qstat import q_distribution
 from .spectrum import EnergySpectrum
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(_Record):
     """Sup-norm distances between truncated exponential-polynomial
     distributions and the exact q-distribution, per truncation order."""
 
-    orders: tuple[int, ...]
-    sup_distances: tuple[float, ...]
-    domain_ratio: float
+    __match_args__ = ("orders", "sup_distances", "domain_ratio")
 
-    def __post_init__(self):
-        if len(self.orders) != len(self.sup_distances):
+    def __init__(self, orders: tuple[int, ...], sup_distances: tuple[float, ...],
+                 domain_ratio: float):
+        if len(orders) != len(sup_distances):
             raise ValueError("orders and distances must have equal length")
-        if any(d < 0 for d in self.sup_distances):
+        if any(d < 0 for d in sup_distances):
             raise ValueError("distances must be >= 0")
-        if self.domain_ratio < 0:
+        if domain_ratio < 0:
             raise ValueError("domain ratio must be >= 0")
+        self.__dict__.update(orders=orders, sup_distances=sup_distances,
+                             domain_ratio=domain_ratio)
 
 
 def convergence_domain_ratio(spectrum: EnergySpectrum, params: QParams) -> float:

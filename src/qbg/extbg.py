@@ -9,8 +9,9 @@ binomial change of basis implemented in :func:`center_multipliers` and
 rational arithmetic (binomials stay integers), so the returned coefficients
 are correctly rounded.
 
-All exponent arithmetic runs in log space with a max shift, so spectra with
-exponents up to ~1e4 in magnitude do not overflow.
+All exponent arithmetic runs in log space with a max shift, so no partition
+sum overflows; but from ``|log Z|`` near 2**14 most probabilities
+``exp(a - log Z)`` fail the sum check and raise ``ValueError`` (see README).
 """
 
 from __future__ import annotations
@@ -37,31 +38,19 @@ def _spare_rows(order: int, size: int) -> np.ndarray:
 
 
 def _pairwise(column, n: int, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """Write the sum of terms 1, ..., n into ``out``, in the order of numpy's
-    ``pairwise_sum`` for n <= 128 (numpy splits a longer row in two; no row
-    here is longer than MAX_ORDER): left to right below 8 terms; else 8
-    lanes (lane j adds terms j, j + 8, ... of the whole blocks of 8) joined
-    as ((r1+r2)+(r3+r4))+((r5+r6)+(r7+r8)), then the rest left to right.
-
-    ``column(j, buf)`` writes term j into ``buf``.  The rows of ``spare``,
-    an array of shape (3, out.size), or (4, out.size) from 16 terms on (see
-    :func:`_spare_rows`), are overwritten as scratch; the fourth row holds
-    a lane's later terms, and a lane has more than one only from 16 terms.
-
-    numpy starts the short loop from 0.0, which can only turn a -0.0 into
-    0.0; :func:`_prefix_sums`, the one caller, adds the row reduction's
-    leading 0.0, which does the same."""
+    """Write the sum of terms 1, ..., n, for n a multiple of 8 up to 128,
+    into ``out`` in the order of numpy's ``pairwise_sum`` (which splits a
+    longer row in two): 8 lanes, lane j adding terms j, j + 8, ..., joined
+    as ((r1+r2)+(r3+r4))+((r5+r6)+(r7+r8)).  ``column(j, buf)`` writes term
+    j into ``buf``.  The rows of ``spare``, shape (3, out.size), or (4,
+    out.size) from 16 terms on (see :func:`_spare_rows`), are overwritten as
+    scratch; the fourth holds a lane's later terms, and a lane has more than
+    one only from 16 terms."""
     b1, b2, b3 = spare[:3]
-    if n < 8:
-        column(1, out)
-        for j in range(2, n + 1):
-            np.add(out, column(j, b1), out=out)
-        return out
-    blocks = n - n % 8
 
     def lane(j, buf):
         column(j, buf)
-        for k in range(j + 8, blocks + 1, 8):
+        for k in range(j + 8, n + 1, 8):
             np.add(buf, column(k, spare[3]), out=buf)
         return buf
 
@@ -71,10 +60,7 @@ def _pairwise(column, n: int, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
     np.add(lane(5, b1), lane(6, b2), out=b1)
     np.add(lane(7, b2), lane(8, b3), out=b2)
     np.add(b1, b2, out=b1)
-    np.add(out, b1, out=out)
-    for j in range(blocks + 1, n + 1):
-        np.add(out, column(j, b1), out=out)
-    return out
+    return np.add(out, b1, out=out)
 
 
 def _prefix_sums(column, count: int, scratch: np.ndarray, first: int):
@@ -87,22 +73,22 @@ def _prefix_sums(column, count: int, scratch: np.ndarray, first: int):
     inside each ``next()`` and leaves it alone between yields, so the
     caller may use it there.
 
-    numpy reduces a row as ``0.0 + pairwise_sum(row)``.  Between the points
-    where the pairwise tree changes shape (N = 1 and every multiple of 8)
-    that is the sum for N - 1 plus term N, so the sweep starts at the last
-    such point at or below ``first`` and costs one column per order after
-    it; adding the leading 0.0 there, not last, can only change the sign
-    of a zero sum, which the 0.0 clears either way.  It works in
-    ``scratch`` and one sum buffer.  ``count`` is at most MAX_ORDER, as
-    :func:`_pairwise` requires.
+    numpy reduces a row as ``0.0 + pairwise_sum(row)``, which adds left to
+    right below 8 terms and changes its tree at each multiple of 8.  Between
+    those points the sum for N is the sum for N - 1 plus term N (0.0 plus
+    term 1 at N = 1), so the sweep starts at N = 1 or the last multiple of 8
+    at or below ``first``, calls :func:`_pairwise` at multiples of 8 only,
+    and costs one column per other order; adding the leading 0.0 at a
+    multiple of 8, not last, can only change the sign of a zero sum, which
+    the 0.0 clears either way.  It works in ``scratch`` and one sum buffer;
+    ``count`` is at most MAX_ORDER, as :func:`_pairwise` requires.
     """
     acc = np.empty(scratch.shape[1])
     for n in range(max(1, first - first % 8), count + 1):
-        if n == 1 or n % 8 == 0:
-            _pairwise(column, n, acc, scratch)
-            np.add(0.0, acc, out=acc)
+        if n % 8:
+            np.add(acc if n > 1 else 0.0, column(n, scratch[0]), out=acc)
         else:
-            np.add(acc, column(n, scratch[0]), out=acc)
+            np.add(0.0, _pairwise(column, n, acc, scratch), out=acc)
         if n >= first:
             yield acc
 

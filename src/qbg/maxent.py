@@ -23,8 +23,8 @@ tolerance and the iteration budget are :class:`SolverOptions`.
 and an accepted trial's ``(log Z, mu, H)`` is the next iterate's; a trial it
 refuses with ``ValueError`` (a non-finite vector, or probabilities
 ``Distribution`` rejects) is a failed trial.  Multipliers are mapped back by
-``b_n -> b_n / s**n``, and a spectrum whose ``max|E|**n`` overflows for an n
-up to the order raises :class:`NonFiniteExponent`.  Every call is
+``b_n -> b_n / s**n``; a ``max|E|**n`` that overflows or underflows to 0
+for an n up to the order raises :class:`NonFiniteExponent`.  Every call is
 deterministic and holds no global state.
 
 The Cholesky step calls LAPACK ``dpotrf``/``dpotrs`` exactly as
@@ -42,7 +42,6 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +53,7 @@ from .errors import (
     TooFewLevels,
 )
 from .extbg import ext_distribution
-from .params import MomentVector, MultiplierVector, _require_order
+from .params import MomentVector, MultiplierVector, _Record, _require_order
 from .spectrum import EnergySpectrum, _power_matrix, rescale
 
 _RIDGE_FLOOR = 1e-12
@@ -64,29 +63,33 @@ _BACKTRACK_FACTOR = 0.5
 _MIN_STEP = 1e-16
 
 
-@dataclass(frozen=True)
-class SolverOptions:
+class SolverOptions(_Record):
     """Damped-Newton settings: ``tol`` applies to the moment-residual sup norm
     of the internally rescaled problem, ``max_iter`` caps the Newton steps."""
 
-    tol: float = 1e-10
-    max_iter: int = 200
+    __match_args__ = ("tol", "max_iter")
 
-    def __post_init__(self):
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
-        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer))
-                or self.max_iter < 1):
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+    def __init__(self, tol: float = 1e-10, max_iter: int = 200):
+        if not 0 < tol < math.inf:
+            raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+        if (isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer))
+                or max_iter < 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+        self.__dict__.update(tol=tol, max_iter=max_iter)
 
 
-@dataclass(frozen=True)
-class SolverReport:
-    converged: bool
-    iterations: int
-    residual_norm: float
-    final_step_size: float
-    rescale_factor: float
+class SolverReport(_Record):
+    """How a solve ended: the rescaled residual's sup norm against ``tol``,
+    Newton steps, last accepted step (0.0 if none) and the rescale ``max|E|``."""
+
+    __match_args__ = ("converged", "iterations", "residual_norm", "final_step_size",
+                      "rescale_factor")
+
+    def __init__(self, converged: bool, iterations: int, residual_norm: float,
+                 final_step_size: float, rescale_factor: float):
+        self.__dict__.update(converged=converged, iterations=iterations,
+                             residual_norm=residual_norm, final_step_size=final_step_size,
+                             rescale_factor=rescale_factor)
 
 
 def dual_gradient(
@@ -180,7 +183,7 @@ def solve_multipliers(
     and a report) when the iteration budget or the line search is exhausted,
     which is the honest diagnostic for targets on or outside the boundary of
     the achievable moment set; :class:`NonFiniteExponent` if ``max|E|**n``
-    overflows for an n up to the order.
+    overflows, or underflows to 0, for an n up to the order.
     """
     if opts is None:
         opts = SolverOptions()
@@ -201,9 +204,11 @@ def solve_multipliers(
     scaled = rescale(spectrum, scale)
     with np.errstate(over="ignore"):
         powers_of_scale = scale ** np.arange(1, n_order + 1)
-    if np.isinf(powers_of_scale[-1]):   # s**n rises with n where it overflows
-        n = int(np.isinf(powers_of_scale).argmax()) + 1
-        raise NonFiniteExponent(f"max|E|**{n} = {scale!r}**{n} overflows; rescale the spectrum")
+    in_range = (powers_of_scale > 0) & (powers_of_scale < math.inf)
+    if not in_range[-1]:   # s**n moves away from 1 with n: the last power leaves first
+        n = int(in_range.argmin()) + 1
+        how = "overflows" if scale > 1 else "underflows to 0"
+        raise NonFiniteExponent(f"max|E|**{n} = {scale!r}**{n} {how}; rescale the spectrum")
     t_scaled = mu_t / powers_of_scale
 
     pw = _power_matrix(scaled, n_order)

@@ -16,10 +16,10 @@ The mappings use plain Python arithmetic, so exact numeric types (e.g.
 identities be checked with zero tolerance.
 
 ``qbg map``, ``invert-map`` and ``clayton`` run on this module alone, so it
-imports nothing beyond ``math``, ``sys`` and :mod:`qbg.errors`.  In
-particular it imports no numpy, and no ``dataclasses`` (which loads
-``inspect``) or ``fractions`` at module level: the five records are plain
-classes on :class:`_Record`, which behave as ``@dataclass(frozen=True)``
+imports nothing beyond ``math``, ``sys`` and :mod:`qbg.errors`: no numpy,
+and no ``dataclasses`` (which loads ``inspect``) or ``fractions`` at module
+level.  Every qbg record, the five here and those of the numeric modules, is
+a plain class on :class:`_Record`, which behaves as ``@dataclass(frozen=True)``
 would, and ``Fraction`` is imported inside the two functions that need it.
 """
 

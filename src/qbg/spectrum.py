@@ -23,7 +23,6 @@ concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .errors import (
     NonPositiveScale,
     UnsortedLevels,
 )
-from .params import _field, _pairs
+from .params import _field, _pairs, _Record
 
 #: Tolerance on |sum(P) - 1| accepted by Distribution.
 NORMALIZATION_TOL = 1e-12
@@ -64,41 +63,37 @@ def _integer_degeneracies(values) -> np.ndarray:
     return as_float
 
 
-@dataclass(frozen=True, eq=False)
-class EnergySpectrum:
+class EnergySpectrum(_Record):
     """Energy levels (strictly increasing, finite) with degeneracies >= 1."""
 
-    levels: np.ndarray
-    degeneracies: np.ndarray
+    __match_args__ = ("levels", "degeneracies")
 
-    def __post_init__(self):
-        levels = _frozen_vector(self.levels, np.float64, "levels")
+    def __init__(self, levels, degeneracies):
+        self.__post_init__(levels, degeneracies)
+
+    def __post_init__(self, levels, degeneracies):
+        # checks and copies under this name: perfbench/spans.py traces them
+        levels = _frozen_vector(levels, np.float64, "levels")
         if levels.size == 0:
             raise EmptySpectrum("spectrum has no levels")
         if not np.isfinite(levels).all():
             raise ValueError("levels must be finite")
         if not (levels[1:] > levels[:-1]).all():
             raise UnsortedLevels("levels must be strictly increasing")
-        degs = _frozen_vector(
-            _integer_degeneracies(self.degeneracies), np.int64, "degeneracies"
-        )
+        degs = _frozen_vector(_integer_degeneracies(degeneracies), np.int64, "degeneracies")
         if degs.size != levels.size:
-            raise LengthMismatch(
-                f"{levels.size} levels but {degs.size} degeneracies"
-            )
+            raise LengthMismatch(f"{levels.size} levels but {degs.size} degeneracies")
         if not (degs >= 1).all():
             raise NonPositiveDegeneracy("every degeneracy must be >= 1")
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "degeneracies", degs)
-        object.__setattr__(self, "_power_cache", None)
-        object.__setattr__(self, "_log_g_cache", None)
+        self.__dict__.update(levels=levels, degeneracies=degs, _power_cache=None,
+                             _log_g_cache=None)
 
     def _log_g(self) -> np.ndarray:
         """Read-only ``np.log(degeneracies)``; cached."""
         if self._log_g_cache is None:
             log_g = np.log(self.degeneracies)
             log_g.flags.writeable = False
-            object.__setattr__(self, "_log_g_cache", log_g)
+            self.__dict__["_log_g_cache"] = log_g
         return self._log_g_cache
 
     def _power_block(self, order: int) -> np.ndarray:
@@ -118,7 +113,7 @@ class EnergySpectrum:
                     exponent.fill(n)
                     np.power(levels, exponent, out=row)
             block.flags.writeable = False
-            object.__setattr__(self, "_power_cache", block)
+            self.__dict__["_power_cache"] = block
         return block
 
     def _powers(self, order: int) -> tuple:
@@ -137,14 +132,16 @@ class EnergySpectrum:
         return len(self.levels)
 
 
-@dataclass(frozen=True, eq=False)
-class Distribution:
+class Distribution(_Record):
     """Per-level probabilities; degeneracy is folded into each entry."""
 
-    probs: np.ndarray
+    __match_args__ = ("probs",)
 
-    def __post_init__(self):
-        probs = _frozen_vector(self.probs, np.float64, "probabilities")
+    def __init__(self, probs):
+        self.__post_init__(probs)
+
+    def __post_init__(self, probs):
+        probs = _frozen_vector(probs, np.float64, "probabilities")
         if probs.size == 0:
             raise ValueError("distribution has no entries")
         if not (np.isfinite(probs) & (probs >= 0)).all():
@@ -153,7 +150,7 @@ class Distribution:
         total = float(probs.sum())
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "probs", probs)
+        self.__dict__["probs"] = probs
 
     def __eq__(self, other):
         if not isinstance(other, Distribution):

@@ -13,6 +13,13 @@ DATA = Path(__file__).parent / "data"
 #: The environment of a ``python -m qbg`` child: it imports qbg from ``src``.
 ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
 
+RECORDED = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "cli_cases.json").read_text(encoding="utf-8")
+)["cases"]
+#: The recorded ``map`` cases as (q, beta, order, the report as recorded).
+RECORDED_MAPS = [pytest.param(*case["args"][1::2], case["expected"], id=case["id"])
+                 for case in RECORDED if case["subcommand"] == "map"]
+
 
 def run_cli(*args, check=True):
     result = subprocess.run(
@@ -110,18 +117,25 @@ class TestMap:
         assert rows == [["0.9999999999999999", "1e+160"]]
 
 
-    @pytest.mark.parametrize("q, beta, order", [("0.98", "1", "6"), ("1.5", "0.25", "12"),
-                                                ("1", "2", "3")])
-    def test_report_round_trips_through_invert_map(self, tmp_path, q, beta, order):
+    @pytest.mark.parametrize("q, beta, order, recorded", [
+        pytest.param("0.98", "1", "6", None, id="0.98-1-6"),
+        pytest.param("1.5", "0.25", "12", None, id="1.5-0.25-12"),
+        pytest.param("1", "2", "3", None, id="1-2-3"),
+        *RECORDED_MAPS,
+    ])
+    def test_report_round_trips_through_invert_map(self, tmp_path, q, beta, order, recorded):
+        # a recorded report is fed back as it was recorded
         mapped = tmp_path / "map.csv"
-        run_cli("map", "--q", q, "--beta", beta, "--order", order, "--out", mapped)
+        if recorded is None:
+            run_cli("map", "--q", q, "--beta", beta, "--order", order, "--out", mapped)
+        else:
+            mapped.write_bytes(recorded.encode("utf-8"))
         out = tmp_path / "inv.csv"
         run_cli("invert-map", "--multipliers", mapped, "--out", out)
         meta, _, rows = parse_report(out)
         assert meta["order"] == order
         assert meta["matched"] == "true"
-        assert [float(x) for x in rows[0]] == pytest.approx([float(q), float(beta)],
-                                                             rel=1e-12)
+        assert [float(x) for x in rows[0]] == [float(q), float(beta)]
 
 
 class TestClayton:
@@ -297,7 +311,10 @@ class TestSolve:
         ("0 1 2 3", "1.5,2.25", "NotConverged: "),
         ("0 1 2 1e160", "1.0,1.5",
          "NonFiniteExponent: max|E|**2 = 1e+160**2 overflows; rescale the spectrum\n"),
-    ], ids=["refused-trial", "overflowing-power"])
+        # the targets cannot be divided by 3e-170**2, which is 0 in floats
+        ("0 1e-170 2e-170 3e-170", "1.5e-170,2.5e-340",
+         "NonFiniteExponent: max|E|**2 = 3e-170**2 underflows to 0; rescale the spectrum\n"),
+    ], ids=["refused-trial", "overflowing-power", "underflowing-power"])
     def test_unsolved_targets_fail_with_one_line(self, tmp_path, levels, targets, message):
         spectrum = tmp_path / "s.csv"
         spectrum.write_text("".join(f"{e},1\n" for e in levels.split()))
@@ -585,11 +602,6 @@ def test_import_loads_no_scipy(tmp_path, spectrum_file):
     )
     assert result.stdout.split("\n") == ["[]", "[]", ""]
     assert parse_report(out)[0]["converged"] == "true"
-
-
-RECORDED = json.loads(
-    (Path(__file__).parents[1] / "perfbench" / "cli_cases.json").read_text(encoding="utf-8")
-)["cases"]
 
 
 class TestRecordedReports:

@@ -113,6 +113,12 @@ def test_cli_import_loads_the_numeric_modules():
     assert "numpy" in loaded
 
 
+def test_cli_import_loads_no_dataclasses():
+    # every qbg record is a plain class on params._Record
+    assert child("import sys, json, qbg.cli; print(json.dumps('dataclasses' in sys.modules))") \
+        is False
+
+
 def test_submodule_resolves_as_attribute():
     code = ("import sys, json, qbg; m = qbg.extbg; "
             "print(json.dumps([m.__name__, m is sys.modules['qbg.extbg']]))")

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -137,6 +139,28 @@ class TestSolverOptions:
 
     def test_integer_max_iter_accepted(self):
         assert SolverOptions(max_iter=np.int64(3)).max_iter == 3
+
+    def test_defaults(self):
+        opts = SolverOptions()
+        assert (opts.tol, opts.max_iter) == (1e-10, 200)
+        assert opts == SolverOptions(1e-10, 200) == SolverOptions(max_iter=200)
+        assert hash(opts) == hash((1e-10, 200))
+        assert repr(opts) == "SolverOptions(tol=1e-10, max_iter=200)"
+
+    def test_positional_arguments_are_checked_too(self):
+        with pytest.raises(ValueError, match="tol"):
+            SolverOptions(0.0)
+        with pytest.raises(ValueError, match="max_iter"):
+            SolverOptions(1e-10, 0)
+        with pytest.raises(TypeError):
+            SolverOptions(1e-10, 200, 1)
+
+    def test_frozen_and_pickles(self):
+        opts = SolverOptions(1e-8, 50)
+        with pytest.raises(AttributeError, match="cannot assign to field 'tol'"):
+            opts.tol = 1.0
+        assert pickle.loads(pickle.dumps(opts)) == opts
+        assert copy.deepcopy(opts) == opts
 
 
 class TestSolveMultipliers:
@@ -283,6 +307,17 @@ class TestSolveMultipliers:
         # pyproject turns a RuntimeWarning into an error, so none is emitted either
         with pytest.raises(NonFiniteExponent, match=rf"max\|E\|\*\*{n} = .*\*\*{n} overflows"):
             solve_multipliers(make_spectrum(levels, [1] * 4), MomentVector(targets))
+
+    @pytest.mark.parametrize("levels, targets, n", [
+        ([0, 1e-170, 2e-170, 3e-170], (1.5e-170, 2.5e-340), 2),
+        ([0, 1e-170, 2e-170, 3e-170, 4e-170], (1.5e-170, 3e-340, 0.0), 2),
+        ([-3e-110, 0, 1e-110, 2e-110], (0.0, 1e-220, 0.0), 3),
+    ])
+    def test_underflowing_rescale_power_is_refused(self, levels, targets, n):
+        # the targets cannot be divided by a power that is 0 in floats
+        with pytest.raises(NonFiniteExponent,
+                           match=rf"max\|E\|\*\*{n} = .*\*\*{n} underflows to 0"):
+            solve_multipliers(make_spectrum(levels, [1] * len(levels)), MomentVector(targets))
 
     def test_finite_rescale_powers_of_a_wide_spectrum_still_solve(self):
         # order 1 needs only max|E|**1; tol bounds the rescaled residual

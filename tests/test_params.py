@@ -1,7 +1,8 @@
-"""The five records of :mod:`qbg.params` behave as frozen dataclasses do.
+"""qbg's records behave as frozen dataclasses do.
 
-``QParams``, ``MultiplierVector``, ``CenteredMultiplierVector``,
-``MomentVector`` and ``ClaytonParams`` are pinned here on what
+The five records of :mod:`qbg.params` (``QParams``, ``MultiplierVector``,
+``CenteredMultiplierVector``, ``MomentVector`` and ``ClaytonParams``),
+``SolverReport`` and ``EquivalenceReport`` are pinned here on what
 ``@dataclass(frozen=True)`` gives a caller: construction by position and by
 keyword with the same checks, no assignment or deletion, equality and hash
 by class and fields, the ``repr`` text, copies and pickles.
@@ -13,7 +14,9 @@ import pickle
 
 import pytest
 
+from qbg.equivalence import EquivalenceReport
 from qbg.errors import OrderTooLarge
+from qbg.maxent import SolverReport
 from qbg.params import (
     MAX_ORDER,
     CenteredMultiplierVector,
@@ -37,6 +40,17 @@ RECORDS = [
      "MomentVector(values=(1.0, 2.5))"),
     (ClaytonParams, (1, 0.01), {"beta": 1, "delta": 0.01}, {"beta": 1, "delta": 0.01},
      "ClaytonParams(beta=1, delta=0.01)"),
+    (SolverReport, (True, 3, 1e-12, 1.0, 2.5),
+     {"converged": True, "iterations": 3, "residual_norm": 1e-12, "final_step_size": 1.0,
+      "rescale_factor": 2.5},
+     {"converged": True, "iterations": 3, "residual_norm": 1e-12, "final_step_size": 1.0,
+      "rescale_factor": 2.5},
+     "SolverReport(converged=True, iterations=3, residual_norm=1e-12, final_step_size=1.0, "
+     "rescale_factor=2.5)"),
+    (EquivalenceReport, ((1, 2), (0.1, 0.01), 0.5),
+     {"orders": (1, 2), "sup_distances": (0.1, 0.01), "domain_ratio": 0.5},
+     {"orders": (1, 2), "sup_distances": (0.1, 0.01), "domain_ratio": 0.5},
+     "EquivalenceReport(orders=(1, 2), sup_distances=(0.1, 0.01), domain_ratio=0.5)"),
 ]
 IDS = [record[0].__name__ for record in RECORDS]
 

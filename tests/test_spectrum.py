@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 import threading
@@ -229,7 +228,7 @@ class TestPowerCache:
         assert repr(s) == before == repr(fresh)
         assert s == fresh and fresh == s
         assert s != make_spectrum([0.0, 1.0, 2.5], [1, 1, 1])
-        assert [f.name for f in dataclasses.fields(s)] == ["levels", "degeneracies"]
+        assert s.__match_args__ == ("levels", "degeneracies")
 
     def test_concurrent_fills_return_full_correct_arrays(self):
         # threads race to fill and widen the same caches; each call must
@@ -302,7 +301,7 @@ class TestLogDegeneracyCache:
         assert s._log_g() is log_g
         assert repr(s) == before == repr(fresh)
         assert s == fresh and fresh == s
-        assert [f.name for f in dataclasses.fields(s)] == ["levels", "degeneracies"]
+        assert s.__match_args__ == ("levels", "degeneracies")
 
 
 class TestLoadSpectrum:
