@@ -95,28 +95,19 @@ def _run_entropy(config: argparse.Namespace):
         params = QParams(config.q, config.beta)
         dist, log_z = q_distribution(spectrum, params)
         meta = [("q", _fmt(params.q)), ("beta", _fmt(params.beta))]
-        mean = float(np.dot(dist.probs, spectrum.levels))
-        quantities = [
-            ("log_partition", log_z),
-            ("mean_energy", mean),
-            ("escort_energy", escort_energy(dist, spectrum, params.q)),
-            ("bg_entropy", bg_entropy(dist)),
-            ("tsallis_entropy", tsallis_entropy(dist, params.q)),
-        ]
+        escort = [("escort_energy", escort_energy(dist, spectrum, params.q))]
+        tsallis = [("tsallis_entropy", tsallis_entropy(dist, params.q))]
     elif config.multipliers is not None:
         m = load_multipliers(config.multipliers)
         dist, log_z = ext_distribution(spectrum, m)
         meta = [("order", str(m.order))]
-        mean = float(np.dot(dist.probs, spectrum.levels))
-        quantities = [
-            ("log_partition", log_z),
-            ("mean_energy", mean),
-            ("bg_entropy", bg_entropy(dist)),
-        ]
+        escort = tsallis = []
     else:
         raise ValueError("entropy requires --q/--beta or --multipliers")
-    rows = [f"{name},{_fmt(value)}" for name, value in quantities]
-    return meta, "quantity,value", rows
+    quantities = [("log_partition", log_z),
+                  ("mean_energy", float(np.dot(dist.probs, spectrum.levels))),
+                  *escort, ("bg_entropy", bg_entropy(dist)), *tsallis]
+    return meta, "quantity,value", [f"{name},{_fmt(value)}" for name, value in quantities]
 
 
 _HANDLERS = {

@@ -37,6 +37,7 @@ from .params import (
     load_multipliers,
     multipliers_to_q,
     q_to_multipliers,
+    _require_finite,
 )
 
 #: The subcommands, in --help order.
@@ -237,9 +238,8 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
             except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"{_flag(key)} must be {must_be}, got {value!r}") from None
     for key, (convert, *_) in _PARAMS.items():
-        value = values[key]
-        if convert is _number and value is not None and not math.isfinite(value):
-            raise ValueError(f"{_flag(key)} must be finite, got {value!r}")
+        if convert is _number and values[key] is not None:
+            _require_finite(_flag(key), values[key])
     targets = values["targets"]
     if targets is not None:
         if len(targets) == 0:

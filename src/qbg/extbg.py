@@ -25,7 +25,7 @@ from .params import (
     CenteredMultiplierVector,
     MomentVector,
     MultiplierVector,
-    _require_finite_center,
+    _require_finite,
 )
 from .params import load_multipliers  # noqa: F401  (perfbench/spans.py traces it here)
 from .spectrum import Distribution, EnergySpectrum, _power_matrix
@@ -192,14 +192,32 @@ def bg_entropy(dist: Distribution) -> float:
     return float(-(p * np.log(p)).sum())
 
 
+def _scale_powers(scale: float, order: int, underflow: bool) -> np.ndarray:
+    """``scale**n`` for n = 1..order, ``scale`` being ``max|E|``; raises
+    :class:`NonFiniteExponent` naming the first n at which it overflows, or,
+    with ``underflow``, underflows to 0."""
+    with np.errstate(over="ignore"):
+        powers = scale ** np.arange(1, order + 1)
+    in_range = ((powers > 0) | (not underflow)) & (powers < math.inf)
+    if not in_range[-1]:   # s**n moves away from 1 with n: the last power leaves first
+        n = int(in_range.argmin()) + 1
+        how = "overflows" if scale > 1 else "underflows to 0"
+        raise NonFiniteExponent(f"max|E|**{n} = {scale!r}**{n} {how}; rescale the spectrum")
+    return powers
+
+
 def raw_moments(
     dist: Distribution, spectrum: EnergySpectrum, order: int
 ) -> MomentVector:
-    """Raw moments mu_n = sum_i P_i * E_i**n for n = 1..order."""
+    """Raw moments mu_n = sum_i P_i * E_i**n for n = 1..order;
+    :class:`NonFiniteExponent` if ``max|E|**n`` overflows for an n up to
+    the order."""
     if len(dist) != len(spectrum):
         raise LengthMismatch(f"{len(spectrum)} levels but {len(dist)} probabilities")
     if order < 1:
         raise ValueError("order must be >= 1")
+    levels = spectrum.levels
+    _scale_powers(max(abs(float(levels[0])), abs(float(levels[-1]))), order, underflow=False)
     mu = dist.probs @ _power_matrix(spectrum, order)
     return MomentVector(tuple(mu))
 
@@ -222,7 +240,7 @@ def center_multipliers(m: MultiplierVector, center) -> CenteredMultiplierVector:
     ``bt_n = sum_{k>=n} C(k, n) * beta_k * center**(k-n)``; exact inverse of
     :func:`uncenter_multipliers` at the same center.
     """
-    _require_finite_center(center)
+    _require_finite("center", center, float(center))
     shifted = _binomial_shift(m.coeffs, center)
     return CenteredMultiplierVector(tuple(float(b) for b in shifted[1:]), float(center))
 

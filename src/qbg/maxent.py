@@ -47,12 +47,11 @@ import numpy as np
 
 from .errors import (
     InfeasibleTargets,
-    NonFiniteExponent,
     NotConverged,
     OrderMismatch,
     TooFewLevels,
 )
-from .extbg import ext_distribution
+from .extbg import _scale_powers, ext_distribution
 from .params import MomentVector, MultiplierVector, _Record, _require_order
 from .spectrum import EnergySpectrum, _power_matrix, rescale
 
@@ -202,13 +201,7 @@ def solve_multipliers(
 
     scale = max(abs(e_min), abs(e_max))
     scaled = rescale(spectrum, scale)
-    with np.errstate(over="ignore"):
-        powers_of_scale = scale ** np.arange(1, n_order + 1)
-    in_range = (powers_of_scale > 0) & (powers_of_scale < math.inf)
-    if not in_range[-1]:   # s**n moves away from 1 with n: the last power leaves first
-        n = int(in_range.argmin()) + 1
-        how = "overflows" if scale > 1 else "underflows to 0"
-        raise NonFiniteExponent(f"max|E|**{n} = {scale!r}**{n} {how}; rescale the spectrum")
+    powers_of_scale = _scale_powers(scale, n_order, underflow=True)
     t_scaled = mu_t / powers_of_scale
 
     pw = _power_matrix(scaled, n_order)

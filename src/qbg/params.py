@@ -20,7 +20,9 @@ imports nothing beyond ``math``, ``sys`` and :mod:`qbg.errors`: no numpy,
 and no ``dataclasses`` (which loads ``inspect``) or ``fractions`` at module
 level.  Every qbg record, the five here and those of the numeric modules, is
 a plain class on :class:`_Record`, which behaves as ``@dataclass(frozen=True)``
-would, and ``Fraction`` is imported inside the two functions that need it.
+would, comparing an array field by ``np.array_equal``; ``Fraction`` is
+imported inside the two functions that need it.  One rule,
+:func:`_require_finite`, words every "must be finite" refusal of a number.
 """
 
 from __future__ import annotations
@@ -45,9 +47,11 @@ def _require_order(n: int):
         raise OrderTooLarge(f"order {n} exceeds the cap of {MAX_ORDER}")
 
 
-def _require_finite_q(q: float):
-    if not math.isfinite(q):
-        raise ValueError(f"q must be finite, got {q!r}")
+def _require_finite(name: str, value, number=None):
+    """``ValueError`` naming ``name`` unless ``number`` is finite: ``value`` by
+    default, or a caller's ``float(value)``, which also reads a numeric string."""
+    if not math.isfinite(value if number is None else number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _as_number(x):
@@ -65,8 +69,7 @@ def _finite_tuple(values, what: str, convert=_as_number) -> tuple:
     if not values:
         raise ValueError(f"at least one {what} is required")
     for v in values:
-        if not math.isfinite(float(v)):
-            raise ValueError(f"{what}s must be finite, got {v!r}")
+        _require_finite(f"{what}s", v, float(v))
     return values
 
 
@@ -75,10 +78,10 @@ class _Record:
 
     A subclass names its fields, in order, in ``__match_args__`` and sets
     them once, in ``__init__``, through ``self.__dict__``.  Equality and hash
-    go by class and field values, ``repr`` reads ``Name(field=value, ...)``,
-    and assigning or deleting any attribute raises ``AttributeError``.
-    ``copy`` and ``pickle`` restore ``__dict__`` directly, so they work
-    unchanged."""
+    go by class and field values, an array field by ``np.array_equal`` (a
+    record with one sets ``__hash__ = None``); ``repr`` reads
+    ``Name(field=value, ...)``; assigning or deleting any attribute raises
+    ``AttributeError``; ``copy`` and ``pickle`` restore ``__dict__`` directly."""
 
     __match_args__: tuple[str, ...] = ()
 
@@ -86,9 +89,11 @@ class _Record:
         return tuple(self.__dict__[name] for name in self.__match_args__)
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        np = sys.modules.get("numpy")   # loaded wherever an array field exists
+        return all(a is b or (np.array_equal(a, b) if np and isinstance(a, np.ndarray) else a == b)
+                   for a, b in zip(self._values(), other._values()))
 
     def __hash__(self):
         return hash(self._values())
@@ -114,7 +119,7 @@ class QParams(_Record):
     __match_args__ = ("q", "beta")
 
     def __init__(self, q: float, beta: float):
-        _require_finite_q(q)
+        _require_finite("q", q)
         if not math.isfinite(beta) or beta < 0:
             raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
         if not math.isfinite((1.0 - q) * beta):
@@ -138,11 +143,6 @@ class MultiplierVector(_Record):
         return len(self.coeffs)
 
 
-def _require_finite_center(center):
-    if not math.isfinite(float(center)):
-        raise ValueError(f"center must be finite, got {center!r}")
-
-
 class CenteredMultiplierVector(_Record):
     """Multipliers for powers of (E - center), at most MAX_ORDER of them."""
 
@@ -151,7 +151,7 @@ class CenteredMultiplierVector(_Record):
     def __init__(self, coeffs: tuple, center: float):
         coeffs = _finite_tuple(coeffs, "multiplier")
         _require_order(len(coeffs))
-        _require_finite_center(center)
+        _require_finite("center", center, float(center))
         self.__dict__.update(coeffs=coeffs, center=_as_number(center))
 
     @property
@@ -181,8 +181,7 @@ class ClaytonParams(_Record):
     def __init__(self, beta: float, delta: float):
         if not float(beta) > 0 or not math.isfinite(float(beta)):
             raise ValueError(f"beta must be positive and finite, got {beta!r}")
-        if not math.isfinite(float(delta)):
-            raise ValueError(f"delta must be finite, got {delta!r}")
+        _require_finite("delta", delta, float(delta))
         self.__dict__.update(beta=beta, delta=delta)
 
 
@@ -305,8 +304,7 @@ def clayton_to_q(delta):
     """q = 1 - 2*delta: the deformation index matching the quadratic
     Boltzmann-factor correction.  A q out of the float range raises
     ``ValueError``."""
-    if not math.isfinite(float(delta)):
-        raise ValueError(f"delta must be finite, got {delta!r}")
+    _require_finite("delta", delta, float(delta))
     q = 1 - 2 * delta
     if not math.isfinite(q):
         raise ValueError(f"q = 1 - 2*delta overflows, got delta={delta!r}")

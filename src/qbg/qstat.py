@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AllLevelsCutOff, LengthMismatch
 from .extbg import _normalize, bg_entropy
-from .params import QParams, _require_finite_q
+from .params import QParams, _require_finite
 from .spectrum import Distribution, EnergySpectrum
 
 #: Below this |q - 1| the exact Boltzmann/Gibbs formulas are used.
@@ -79,13 +79,17 @@ def tsallis_entropy(dist: Distribution, q: float) -> float:
 
     Evaluated as ``-sum_i P_i * expm1((q-1)*log(P_i)) / (q-1)``, which is
     exact in the q -> 1 limit direction; |q-1| < 1e-12 routes to
-    :func:`~qbg.extbg.bg_entropy`.  A non-finite q raises ``ValueError``.
+    :func:`~qbg.extbg.bg_entropy`.  A non-finite q, or an entropy past the
+    float range (as at a large negative q), raises ``ValueError``.
     """
-    _require_finite_q(q)
+    _require_finite("q", q)
     if abs(q - 1.0) < Q_ONE_EPS:
         return bg_entropy(dist)
     p = dist.probs[dist.probs > 0]
-    return float(-(p * np.expm1((q - 1.0) * np.log(p))).sum() / (q - 1.0))
+    with np.errstate(all="ignore"):   # an overflow makes the entropy non-finite
+        entropy = float(-(p * np.expm1((q - 1.0) * np.log(p))).sum() / (q - 1.0))
+    _require_finite(f"tsallis_entropy at q={q!r}", entropy)
+    return entropy
 
 
 def escort_energy(dist: Distribution, spectrum: EnergySpectrum, q: float) -> float:
@@ -94,9 +98,10 @@ def escort_energy(dist: Distribution, spectrum: EnergySpectrum, q: float) -> flo
     Level probability is split equally among the g_i states of a level
     before raising to the power q, so each state carries ``(P_i/g_i)**q``
     and the degeneracy contributes the factor ``g_i**(1-q)``.  A non-finite
-    q raises ``ValueError``.
+    q, or an energy past the float range or NaN (a ``P_i**q`` that overflows,
+    times E_i = 0), raises ``ValueError``.
     """
-    _require_finite_q(q)
+    _require_finite("q", q)
     if len(dist) != len(spectrum):
         raise LengthMismatch(
             f"{len(spectrum)} levels but {len(dist)} probabilities"
@@ -105,8 +110,10 @@ def escort_energy(dist: Distribution, spectrum: EnergySpectrum, q: float) -> flo
     e = spectrum.levels
     g = spectrum.degeneracies.astype(np.float64)
     mask = p > 0
-    terms = g[mask] ** (1.0 - q) * p[mask] ** q * e[mask]
-    return float(terms.sum())
+    with np.errstate(all="ignore"):   # an overflow makes the energy non-finite
+        energy = float((g[mask] ** (1.0 - q) * p[mask] ** q * e[mask]).sum())
+    _require_finite(f"escort_energy at q={q!r}", energy)
+    return energy
 
 
 def product_distribution(a: Distribution, b: Distribution) -> Distribution:

@@ -7,6 +7,8 @@ degeneracy already folded in, so ``P_i`` is the total probability of level i.
 ``EnergySpectrum.levels`` is a float64 array, ``EnergySpectrum.degeneracies``
 an int64 array and ``Distribution.probs`` a float64 array.  Each is a private,
 read-only copy made at construction (writing into one raises ``ValueError``).
+Two spectra, or two distributions, are equal when their arrays are
+(``np.array_equal``); neither has a hash.
 
 A spectrum also holds two private, read-only caches, each filled on first
 use: ``log g_i``, and the powers ``E_i**n`` for n = 2..k, one contiguous
@@ -67,6 +69,7 @@ class EnergySpectrum(_Record):
     """Energy levels (strictly increasing, finite) with degeneracies >= 1."""
 
     __match_args__ = ("levels", "degeneracies")
+    __hash__ = None
 
     def __init__(self, levels, degeneracies):
         self.__post_init__(levels, degeneracies)
@@ -121,13 +124,6 @@ class EnergySpectrum(_Record):
         k >= ``order``: ``levels``, then the rows of :meth:`_power_block`."""
         return (self.levels, *self._power_block(order))
 
-    def __eq__(self, other):
-        if not isinstance(other, EnergySpectrum):
-            return NotImplemented
-        return np.array_equal(self.levels, other.levels) and np.array_equal(
-            self.degeneracies, other.degeneracies
-        )
-
     def __len__(self) -> int:
         return len(self.levels)
 
@@ -136,6 +132,7 @@ class Distribution(_Record):
     """Per-level probabilities; degeneracy is folded into each entry."""
 
     __match_args__ = ("probs",)
+    __hash__ = None
 
     def __init__(self, probs):
         self.__post_init__(probs)
@@ -151,11 +148,6 @@ class Distribution(_Record):
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         self.__dict__["probs"] = probs
-
-    def __eq__(self, other):
-        if not isinstance(other, Distribution):
-            return NotImplemented
-        return np.array_equal(self.probs, other.probs)
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -183,11 +175,13 @@ def make_spectrum(levels, degeneracies) -> EnergySpectrum:
 
 
 def rescale(spectrum: EnergySpectrum, scale: float) -> EnergySpectrum:
-    """Divide every level by ``scale`` (> 0); degeneracies are unchanged."""
+    """Divide every level by ``scale`` (> 0); degeneracies are unchanged.  A
+    level that overflows raises ``ValueError``, with no warning first."""
     scale = float(scale)
     if not scale > 0 or not math.isfinite(scale):
         raise NonPositiveScale(f"scale must be positive and finite, got {scale!r}")
-    return EnergySpectrum(spectrum.levels / scale, spectrum.degeneracies)
+    with np.errstate(over="ignore"):   # EnergySpectrum refuses a level that overflows
+        return EnergySpectrum(spectrum.levels / scale, spectrum.degeneracies)
 
 
 def load_spectrum(path) -> EnergySpectrum:

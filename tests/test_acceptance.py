@@ -377,7 +377,8 @@ def test_9_cli_golden_reports(tmp_path):
                 [sys.executable, "-m", "qbg", *args, "--out", str(out)],
                 capture_output=True,
                 text=True,
-                env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+                env={**os.environ, "PYTHONPATH": str(REPO / "src"),
+                     "PYTHONWARNINGS": "error::RuntimeWarning"},
             )
             assert result.returncode == 0, result.stderr
             outputs.append(out.read_bytes())

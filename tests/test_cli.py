@@ -10,8 +10,10 @@ import pytest
 from qbg.cli import main
 
 DATA = Path(__file__).parent / "data"
-#: The environment of a ``python -m qbg`` child: it imports qbg from ``src``.
-ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+#: The environment of a ``python -m qbg`` child: it imports qbg from ``src``,
+#: and a ``RuntimeWarning`` is an error in it, as in this process.
+ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
+       "PYTHONWARNINGS": "error::RuntimeWarning"}
 
 RECORDED = json.loads(
     (Path(__file__).parents[1] / "perfbench" / "cli_cases.json").read_text(encoding="utf-8")
@@ -405,6 +407,17 @@ class TestEntropy:
                          "--out", tmp_path / "x.csv", check=False)
         assert result.returncode != 0
 
+    def test_extreme_q_fails_in_one_line(self, tmp_path):
+        # P**q overflows at q = -1000: a named error, no warning, no report
+        spectrum = tmp_path / "s.csv"
+        spectrum.write_text("0,1\n1,3\n2,2\n")
+        out = tmp_path / "ent.csv"
+        result = run_cli("entropy", "--spectrum", spectrum, "--q=-1000", "--beta", "1e-6",
+                         "--out", out, check=False)
+        assert result.returncode == 1
+        assert result.stderr == "ValueError: escort_energy at q=-1000.0 must be finite, got nan\n"
+        assert not out.exists()
+
 
 class TestConfigAndErrors:
     def test_config_file_supplies_parameters(self, tmp_path):
@@ -439,7 +452,8 @@ class TestConfigAndErrors:
 
     def test_missing_out(self):
         result = run_cli("map", "--q", "1", "--beta", "1", "--order", "2", check=False)
-        assert result.returncode != 0
+        assert result.returncode == 1
+        assert result.stderr == "ValueError: map requires --out\n"
 
 
 class TestConfigValueTypes:
@@ -538,7 +552,9 @@ class TestDashValues:
 
 class TestInputChecks:
     """A non-finite number or a bad ``--targets``, given as a flag or in the
-    config file, ends with its one-line ``ValueError``, exit 1 and no report."""
+    config file, a config file that is not a JSON object of known keys, or an
+    ``entropy`` run with both or neither of its parameterizations, ends with
+    its one-line ``ValueError``, exit 1 and no report."""
 
     @pytest.mark.parametrize("subcommand, flags, values, message", [
         ("map", ["--q", "nan", "--beta", "1", "--order", "2"], None,
@@ -567,11 +583,22 @@ class TestInputChecks:
          "--order must be an integer, got 2.5"),
         ("map", ["--q", "0.98", "--beta", "1"], {"order": 2.5, "tol": "x"},
          "--tol must be a number, got 'x'"),
+        ("map", ["--q", "0.98", "--beta", "1", "--order", "2"], [1, 2],
+         "config file must hold a JSON object"),
+        ("map", ["--q", "0.98", "--beta", "1"], {"order": 2, "temperature": 1},
+         "unknown config key 'temperature'"),
+        # the refusal comes before the multiplier file is read
+        ("entropy", ["--q", "1", "--beta", "1", "--multipliers", "absent.csv"], None,
+         "entropy takes either --q/--beta or --multipliers, not both"),
+        ("entropy", ["--beta", "1"], {"multipliers": "absent.csv"},
+         "entropy takes either --q/--beta or --multipliers, not both"),
+        ("entropy", [], None, "entropy requires --q/--beta or --multipliers"),
+        ("entropy", ["--q", "1"], None, "entropy requires --beta"),
     ])
     def test_input_checks(self, tmp_path, capsys, spectrum_file, subcommand, flags,
                           values, message):
         args = [subcommand, *flags]
-        if subcommand == "solve":
+        if subcommand in ("solve", "entropy"):
             args += ["--spectrum", str(spectrum_file)]
         if values is not None:
             config = tmp_path / "run.json"
@@ -589,7 +616,6 @@ def test_import_loads_no_scipy(tmp_path, spectrum_file):
     ``solve``: the solver loads LAPACK from the extension module
     ``scipy.linalg._flapack`` by file location, because the ``scipy.linalg``
     package takes longer to import than the rest of a ``solve`` process."""
-    src = Path(__file__).parents[1] / "src"
     code = ("import qbg, qbg.cli, sys; "
             "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
             "print(loaded()); qbg.cli.main(sys.argv[1:]); print(loaded())")
@@ -598,7 +624,7 @@ def test_import_loads_no_scipy(tmp_path, spectrum_file):
         [sys.executable, "-c", code, "solve", "--spectrum", str(spectrum_file),
          "--targets", "2,5.5", "--out", str(out)],
         capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+        env=ENV, check=True,
     )
     assert result.stdout.split("\n") == ["[]", "[]", ""]
     assert parse_report(out)[0]["converged"] == "true"

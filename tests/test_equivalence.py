@@ -318,6 +318,17 @@ class TestEquivalenceReport:
         s = make_spectrum([0, 1], [1, 1])
         with pytest.raises(OrderTooLarge):
             equivalence_report(s, QParams(0.98, 1.0), 21)
+        with pytest.raises(ValueError, match=r"^max_order must be >= 1$"):
+            equivalence_report(s, QParams(0.98, 1.0), 0)
+
+    @pytest.mark.parametrize("args, message", [
+        (((1, 2), (0.1,), 0.5), "orders and distances must have equal length"),
+        (((1,), (-0.1,), 0.5), "distances must be >= 0"),
+        (((1,), (0.1,), -0.5), "domain ratio must be >= 0"),
+    ])
+    def test_report_fields_checked(self, args, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            EquivalenceReport(*args)
 
     @given(spectra(max_degeneracy=1000),
            st.floats(-0.5, 0.5, allow_nan=False), st.floats(0.01, 0.95),

@@ -159,6 +159,28 @@ class TestMoments:
         with pytest.raises(LengthMismatch):
             raw_moments(Distribution((1.0,)), s, 1)
 
+    def test_order_below_one_rejected(self):
+        s = make_spectrum([0, 1], [1, 1])
+        with pytest.raises(ValueError, match=r"^order must be >= 1$"):
+            raw_moments(Distribution((0.5, 0.5)), s, 0)
+
+    @pytest.mark.parametrize("levels, probs, order, n", [
+        ([0.0, 1e200], (1.0, 0.0), 2, 2),
+        ([0.0, 1e200], (0.5, 0.5), 20, 2),
+        ([-1e110, 0.0, 1e110], (0.5, 0.0, 0.5), 3, 3),
+    ])
+    def test_overflowing_power_is_refused_naming_n(self, levels, probs, order, n):
+        # as solve_multipliers refuses it, and with no warning first
+        s = make_spectrum(levels, [1] * len(levels))
+        with pytest.raises(NonFiniteExponent, match=rf"^max\|E\|\*\*{n} = 1e\+\d+\*\*{n} "
+                                                    "overflows; rescale the spectrum$"):
+            raw_moments(Distribution(probs), s, order)
+        assert raw_moments(Distribution(probs), s, n - 1).order == n - 1
+
+    def test_underflowing_power_is_not_refused(self):
+        s = make_spectrum([0.0, 1e-170], [1, 1])
+        assert raw_moments(Distribution((0.5, 0.5)), s, 2).values == (0.5 * 1e-170, 0.0)
+
     @given(spectra(min_levels=2, max_levels=6, min_energy=-3.0, max_energy=3.0),
            multiplier_lists, st.integers(1, 8))
     def test_matches_plain_python_sums(self, s, coeffs, order):

@@ -18,7 +18,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-ENV = {**os.environ, "PYTHONPATH": str(SRC)}
+#: A ``RuntimeWarning`` is an error in a child, as in this process.
+ENV = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONWARNINGS": "error::RuntimeWarning"}
 
 NUMERIC = ["qbg.equivalence", "qbg.extbg", "qbg.maxent", "qbg.qstat", "qbg.spectrum"]
 

@@ -336,6 +336,15 @@ class TestTsallisEntropy:
             with pytest.raises(ValueError, match="q must be finite"):
                 tsallis_entropy(d, q)
 
+    def test_entropy_past_the_float_range_raises(self):
+        # P**q overflows at a large negative q: expm1 gives inf, with no warning
+        for d, q in ((Distribution((0.5, 0.5)), -2000.0),
+                     (q_distribution(make_spectrum([0, 1, 2], [1, 3, 2]),
+                                     QParams(-1000.0, 1e-6))[0], -1000.0)):
+            with pytest.raises(ValueError, match=rf"^tsallis_entropy at q={q!r} "
+                                                 r"must be finite, got inf$"):
+                tsallis_entropy(d, q)
+
     @given(distributions())
     def test_continuity_at_q_one(self, d):
         s_bg = bg_entropy(d)
@@ -387,6 +396,17 @@ class TestEscortEnergy:
         for q in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="q must be finite"):
                 escort_energy(d, s, q)
+
+    @pytest.mark.parametrize("levels, value", [
+        ([0, 1], "nan"),     # P**q = inf times E = 0
+        ([1, 2], "inf"),
+        ([-2, 1], "nan"),    # -inf + inf
+    ])
+    def test_energy_past_the_float_range_raises(self, levels, value):
+        s = make_spectrum(levels, [1, 1])
+        with pytest.raises(ValueError, match=r"^escort_energy at q=-2000\.0 must be finite, "
+                                             rf"got {value}$"):
+            escort_energy(Distribution((0.5, 0.5)), s, -2000.0)
 
 
 class TestProductDistribution:

@@ -1,6 +1,9 @@
+import copy
 import math
+import pickle
 import sys
 import threading
+from collections.abc import Hashable
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given
 
 from qbg import (
     Distribution,
+    MomentVector,
     MultiplierVector,
     QParams,
     dual_hessian,
@@ -82,6 +86,16 @@ class TestMakeSpectrum:
         s = make_spectrum([-2.5, 0.5], [1, 3])
         assert tuple(s.levels) == (-2.5, 0.5)
 
+    def test_two_dimensional_levels_rejected(self):
+        with pytest.raises(ValueError, match=r"^levels must be a one-dimensional sequence$"):
+            make_spectrum([[0.0, 1.0]], [1, 1])
+
+    def test_integral_float_degeneracies_become_int64(self):
+        s = make_spectrum([0.0, 1.0], [1.0, 2.0])
+        assert s.degeneracies.dtype == np.int64
+        assert s.degeneracies.tolist() == [1, 2]
+        assert s == make_spectrum([0.0, 1.0], [1, 2])
+
 
 class TestRescale:
     def test_direct_division(self):
@@ -99,6 +113,11 @@ class TestRescale:
         for bad in (0.0, -1.0):
             with pytest.raises(NonPositiveScale):
                 rescale(s, bad)
+
+    def test_overflowing_levels_refused_without_a_warning(self):
+        s = make_spectrum([0.0, 1e200], [1, 1])
+        with pytest.raises(ValueError, match=r"^levels must be finite$"):
+            rescale(s, 1e-200)
 
     @given(spectra(min_levels=2))
     def test_roundtrip(self, s):
@@ -125,6 +144,55 @@ class TestDistribution:
 
     def test_zero_entries_allowed(self):
         Distribution((1.0, 0.0, 0.0))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match=r"^distribution has no entries$"):
+            Distribution([])
+
+
+class TestEquality:
+    """Spectra and distributions are equal when their class and their arrays
+    are, as every qbg record is by its fields; neither has a hash."""
+
+    def test_equal_exactly_within_a_group(self):
+        groups = [
+            [make_spectrum([0.0, 1.0], [1, 2]), make_spectrum([0, 1], [1.0, 2.0]),
+             make_spectrum([-0.0, 1.0], np.array([1, 2]))],
+            [make_spectrum([0.0, 1.0], [1, 3])],
+            [make_spectrum([0.0, 1.0, 2.0], [1, 2, 1])],
+            [Distribution([0.25, 0.75]), Distribution(np.array([0.25, 0.75]))],
+            [Distribution([0.0, 1.0]), Distribution([-0.0, 1.0])],
+            [Distribution([1.0])],
+            [MomentVector((0.0, 1.0))],
+            [MultiplierVector((0.0, 1.0))],
+            [QParams(0.0, 1.0), QParams(0, 1)],
+        ]
+        records = [(i, record) for i, group in enumerate(groups) for record in group]
+        for i, a in records:
+            for j, b in records:
+                assert (a == b) is (i == j)
+                assert (a != b) is (i != j)
+
+    def test_other_types_are_not_equal(self):
+        s, d = make_spectrum([0.0, 1.0], [1, 1]), Distribution([0.5, 0.5])
+        for record in (s, d):
+            assert record != object() and not record == object()
+            assert record.__eq__(object()) is NotImplemented
+        assert d != s and not d == s
+        assert s.__eq__(d) is NotImplemented and d.__eq__(s) is NotImplemented
+
+    def test_unhashable(self):
+        for record in (make_spectrum([0.0, 1.0], [1, 1]), Distribution([0.5, 0.5])):
+            with pytest.raises(TypeError, match=rf"^unhashable type: '{type(record).__name__}'$"):
+                hash(record)
+            assert not isinstance(record, Hashable)
+
+    def test_copies_and_pickles_are_equal(self):
+        for record in (make_spectrum([0.0, 1.0], [1, 2]), Distribution([0.25, 0.75])):
+            for duplicate in (copy.copy(record), copy.deepcopy(record),
+                              pickle.loads(pickle.dumps(record))):
+                assert type(duplicate) is type(record)
+                assert duplicate == record and repr(duplicate) == repr(record)
 
 
 class TestReadOnlyArrays:
