@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OutsideConvergenceDomain
-from .extbg import _distributions
+from .extbg import _distributions, _scale_powers
 from .params import QParams, _Record, _require_order, q_to_multipliers
 from .qstat import q_distribution
 from .spectrum import EnergySpectrum
@@ -38,10 +38,9 @@ class EquivalenceReport(_Record):
 
 
 def convergence_domain_ratio(spectrum: EnergySpectrum, params: QParams) -> float:
-    """max_i |(1-q)*beta*E_i|, at an end level as rounding is monotone; the
-    expansion converges at every level iff this is < 1."""
-    k = (1.0 - params.q) * params.beta
-    return max(abs(k * float(spectrum.levels[0])), abs(k * float(spectrum.levels[-1])))
+    """max_i |(1-q)*beta*E_i|, as |(1-q)*beta| * max|E| (rounding is monotone
+    and symmetric); the expansion converges at every level iff this is < 1."""
+    return abs((1.0 - params.q) * params.beta) * spectrum._max_abs()
 
 
 def equivalence_report(
@@ -52,7 +51,10 @@ def equivalence_report(
 
     Refuses with :class:`OutsideConvergenceDomain` when the domain ratio is
     >= 1: there the truncated series is not guaranteed to approach the
-    q-distribution and the distances would be noise.
+    q-distribution and the distances would be noise.  At q != 1 and
+    beta != 0, where no beta_n is zero, a ``max|E|**n`` that overflows for
+    an n up to ``max_order`` raises :class:`NonFiniteExponent`: a beta_n
+    that underflowed to 0 would drop a term that is not small.
 
     The order-N distributions come from one sweep over the spectrum's
     cached powers (:func:`~qbg.extbg._distributions`), each bit for bit a
@@ -61,14 +63,14 @@ def equivalence_report(
     order 16, six from 16 on: the exact probabilities, and the sweep's
     running sum and scratch block (three rows, four from order 16), whose
     first two rows hold ``log g - s`` and the probabilities."""
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
-    _require_order(max_order)
+    _require_order(max_order, "max_order")
     ratio = convergence_domain_ratio(spectrum, params)
     if ratio >= 1.0:
         raise OutsideConvergenceDomain(
             f"domain ratio {ratio} >= 1; the expansion does not converge on this spectrum"
         )
+    if params.q != 1 and params.beta != 0:   # no beta_n is an exact zero
+        _scale_powers(spectrum._max_abs(), max_order, underflow=False)
     exact, _ = q_distribution(spectrum, params)
     distances = []
     for probs, _ in _distributions(spectrum, q_to_multipliers(params, max_order)):

@@ -216,8 +216,7 @@ def raw_moments(
         raise LengthMismatch(f"{len(spectrum)} levels but {len(dist)} probabilities")
     if order < 1:
         raise ValueError("order must be >= 1")
-    levels = spectrum.levels
-    _scale_powers(max(abs(float(levels[0])), abs(float(levels[-1]))), order, underflow=False)
+    _scale_powers(spectrum._max_abs(), order, underflow=False)
     mu = dist.probs @ _power_matrix(spectrum, order)
     return MomentVector(tuple(mu))
 
@@ -240,7 +239,7 @@ def center_multipliers(m: MultiplierVector, center) -> CenteredMultiplierVector:
     ``bt_n = sum_{k>=n} C(k, n) * beta_k * center**(k-n)``; exact inverse of
     :func:`uncenter_multipliers` at the same center.
     """
-    _require_finite("center", center, float(center))
+    center = _require_finite("center", center)
     shifted = _binomial_shift(m.coeffs, center)
     return CenteredMultiplierVector(tuple(float(b) for b in shifted[1:]), float(center))
 

@@ -199,7 +199,7 @@ def solve_multipliers(
     if n_order >= 2 and mu_t[1] < mu_t[0] ** 2:
         raise InfeasibleTargets(f"mu_2 = {mu_t[1]} < mu_1**2 = {mu_t[0] ** 2}: negative variance")
 
-    scale = max(abs(e_min), abs(e_max))
+    scale = spectrum._max_abs()
     scaled = rescale(spectrum, scale)
     powers_of_scale = _scale_powers(scale, n_order, underflow=True)
     t_scaled = mu_t / powers_of_scale

@@ -22,7 +22,9 @@ level.  Every qbg record, the five here and those of the numeric modules, is
 a plain class on :class:`_Record`, which behaves as ``@dataclass(frozen=True)``
 would, comparing an array field by ``np.array_equal``; ``Fraction`` is
 imported inside the two functions that need it.  One rule,
-:func:`_require_finite`, words every "must be finite" refusal of a number.
+:func:`_require_finite`, reads every number a record takes: one that is not
+a real number (a numeric string too) raises ``TypeError``, a non-finite one
+``ValueError``, and a numpy scalar is kept as a float.
 """
 
 from __future__ import annotations
@@ -42,34 +44,30 @@ _ABS_FALLBACK_FLOOR = 1e-300
 _ABS_FALLBACK_TOL = 1e-12
 
 
-def _require_order(n: int):
+def _require_order(n: int, name: str = "order"):
+    """``ValueError`` naming ``name`` if n < 1, :class:`OrderTooLarge` above MAX_ORDER."""
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1")
     if n > MAX_ORDER:
         raise OrderTooLarge(f"order {n} exceeds the cap of {MAX_ORDER}")
 
 
-def _require_finite(name: str, value, number=None):
-    """``ValueError`` naming ``name`` unless ``number`` is finite: ``value`` by
-    default, or a caller's ``float(value)``, which also reads a numeric string."""
-    if not math.isfinite(value if number is None else number):
+def _require_finite(name: str, value):
+    """``value`` as a record holds it: a numpy scalar as a float, an exact
+    type (int, ``Fraction``) as it is.  ``TypeError`` if it is not a real
+    number (a numeric string too), ``ValueError`` naming ``name`` if it is
+    not finite.  numpy is not imported: a numpy scalar needs it loaded."""
+    if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def _as_number(x):
-    # normalize numpy scalars to float; keep exact types (int, Fraction) as-is.
-    # A numpy scalar exists only once numpy is loaded, so it is not imported here.
     np = sys.modules.get("numpy")
-    if np is not None and isinstance(x, (np.floating, np.integer)):
-        return float(x)
-    return x
+    return float(value) if np and isinstance(value, (np.floating, np.integer)) else value
 
 
-def _finite_tuple(values, what: str, convert=_as_number) -> tuple:
-    """``values`` converted to a tuple of at least one finite number."""
-    values = tuple(convert(v) for v in values)
+def _finite_tuple(values, what: str) -> tuple:
+    """``values`` as a tuple of at least one finite number, each by :func:`_require_finite`."""
+    values = tuple(_require_finite(f"{what}s", v) for v in values)
     if not values:
         raise ValueError(f"at least one {what} is required")
-    for v in values:
-        _require_finite(f"{what}s", v, float(v))
     return values
 
 
@@ -114,14 +112,15 @@ class QParams(_Record):
     """Entropic index q and inverse temperature beta (beta = 0 is the
     infinite-temperature limit and gives the uniform distribution).  The
     deformation ``(1-q)*beta`` must be finite too: every weight is formed
-    from it."""
+    from it.  A numpy scalar is stored as a float."""
 
     __match_args__ = ("q", "beta")
 
     def __init__(self, q: float, beta: float):
-        _require_finite("q", q)
+        q = _require_finite("q", q)
         if not math.isfinite(beta) or beta < 0:
             raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
+        beta = _require_finite("beta", beta)
         if not math.isfinite((1.0 - q) * beta):
             raise ValueError(f"(1-q)*beta must be finite, got q={q!r}, beta={beta!r}")
         self.__dict__.update(q=q, beta=beta)
@@ -151,8 +150,7 @@ class CenteredMultiplierVector(_Record):
     def __init__(self, coeffs: tuple, center: float):
         coeffs = _finite_tuple(coeffs, "multiplier")
         _require_order(len(coeffs))
-        _require_finite("center", center, float(center))
-        self.__dict__.update(coeffs=coeffs, center=_as_number(center))
+        self.__dict__.update(coeffs=coeffs, center=_require_finite("center", center))
 
     @property
     def order(self) -> int:
@@ -165,7 +163,7 @@ class MomentVector(_Record):
     __match_args__ = ("values",)
 
     def __init__(self, values: tuple[float, ...]):
-        self.__dict__.update(values=_finite_tuple(values, "moment", float))
+        self.__dict__.update(values=tuple(map(float, _finite_tuple(values, "moment"))))
 
     @property
     def order(self) -> int:
@@ -179,10 +177,10 @@ class ClaytonParams(_Record):
     __match_args__ = ("beta", "delta")
 
     def __init__(self, beta: float, delta: float):
-        if not float(beta) > 0 or not math.isfinite(float(beta)):
+        if not math.isfinite(beta) or not beta > 0:
             raise ValueError(f"beta must be positive and finite, got {beta!r}")
-        _require_finite("delta", delta, float(delta))
-        self.__dict__.update(beta=beta, delta=delta)
+        self.__dict__.update(beta=_require_finite("beta", beta),
+                             delta=_require_finite("delta", delta))
 
 
 def _in_range(formula, args: tuple, what: str):
@@ -222,8 +220,6 @@ def q_to_multipliers(params: QParams, order: int) -> MultiplierVector:
     At q = 1 this is (beta, 0, ..., 0) for any beta: the series terminates.
     A beta_n out of the float range raises ``ValueError``.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
     _require_order(order)
     one_minus_q = 1 - params.q
     return MultiplierVector(
@@ -304,8 +300,7 @@ def clayton_to_q(delta):
     """q = 1 - 2*delta: the deformation index matching the quadratic
     Boltzmann-factor correction.  A q out of the float range raises
     ``ValueError``."""
-    _require_finite("delta", delta, float(delta))
-    q = 1 - 2 * delta
+    q = 1 - 2 * _require_finite("delta", delta)
     if not math.isfinite(q):
         raise ValueError(f"q = 1 - 2*delta overflows, got delta={delta!r}")
     return q

@@ -99,6 +99,10 @@ class EnergySpectrum(_Record):
             self.__dict__["_log_g_cache"] = log_g
         return self._log_g_cache
 
+    def _max_abs(self) -> float:
+        """``max|E|``, which sits at an end level: the levels are sorted."""
+        return max(abs(float(self.levels[0])), abs(float(self.levels[-1])))
+
     def _power_block(self, order: int) -> np.ndarray:
         """Read-only ``levels ** n`` in row n - 2, for n = 2..k with
         k >= ``order``, shape (k - 1, levels) and C-ordered, so each power

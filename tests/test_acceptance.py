@@ -378,7 +378,7 @@ def test_9_cli_golden_reports(tmp_path):
                 capture_output=True,
                 text=True,
                 env={**os.environ, "PYTHONPATH": str(REPO / "src"),
-                     "PYTHONWARNINGS": "error::RuntimeWarning"},
+                     "PYTHONWARNINGS": "error"},
             )
             assert result.returncode == 0, result.stderr
             outputs.append(out.read_bytes())

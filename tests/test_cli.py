@@ -11,9 +11,9 @@ from qbg.cli import main
 
 DATA = Path(__file__).parent / "data"
 #: The environment of a ``python -m qbg`` child: it imports qbg from ``src``,
-#: and a ``RuntimeWarning`` is an error in it, as in this process.
+#: and every warning is an error in it, as in this process.
 ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
-       "PYTHONWARNINGS": "error::RuntimeWarning"}
+       "PYTHONWARNINGS": "error"}
 
 RECORDED = json.loads(
     (Path(__file__).parents[1] / "perfbench" / "cli_cases.json").read_text(encoding="utf-8")
@@ -272,6 +272,19 @@ class TestEquiv:
                          "--max-order", "4", "--out", out, check=False)
         assert result.returncode != 0
         assert "OutsideConvergenceDomain" in result.stderr
+        assert not out.exists()
+
+    def test_overflowing_power_fails_in_one_line(self, tmp_path):
+        # beta_2 = 0.5 * 1e-201**2 / 2 underflows to 0 although beta_2 * 1e200**2
+        # is about 2.5e-3: the report would repeat the order-1 distance
+        spectrum = tmp_path / "s.csv"
+        spectrum.write_text("0,1\n1e200,1\n")
+        out = tmp_path / "equiv.csv"
+        result = run_cli("equiv", "--spectrum", spectrum, "--q", "0.5", "--beta", "1e-201",
+                         "--max-order", "3", "--out", out, check=False)
+        assert result.returncode == 1
+        assert result.stderr == ("NonFiniteExponent: max|E|**2 = 1e+200**2 overflows; "
+                                 "rescale the spectrum\n")
         assert not out.exists()
 
 

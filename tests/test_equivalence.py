@@ -23,7 +23,12 @@ from qbg import (
     q_to_multipliers,
 )
 from qbg.params import ClaytonParams, _mapped
-from qbg.errors import OrderTooLarge, OutsideConvergenceDomain, ZeroLeadingMultiplier
+from qbg.errors import (
+    NonFiniteExponent,
+    OrderTooLarge,
+    OutsideConvergenceDomain,
+    ZeroLeadingMultiplier,
+)
 
 from conftest import spectra
 
@@ -299,6 +304,17 @@ class TestEquivalenceReport:
         report = equivalence_report(make_spectrum([0.0, 1e30], [1, 1]), QParams(1.0, 1e-31), 12)
         assert report.domain_ratio == 0.0
         assert report.sup_distances == (0.0,) * 12
+
+    def test_overflowing_power_refused_where_no_multiplier_is_zero(self):
+        # beta_2 = 0.5 * 1e-201**2 / 2 underflows to 0.0 while 1e200**2
+        # overflows: the sweep would drop beta_2 * E**2, about 2.5e-3, and
+        # repeat the order-1 distance at every order
+        s = make_spectrum([0.0, 1e200], [1, 1])
+        with pytest.raises(NonFiniteExponent,
+                           match=r"^max\|E\|\*\*2 = 1e\+200\*\*2 overflows; rescale the spectrum$"):
+            equivalence_report(s, QParams(0.5, 1e-201), 3)
+        # at beta = 0 every beta_n is an exact zero
+        assert equivalence_report(s, QParams(0.5, 0.0), 3).sup_distances == (0.0,) * 3
 
     def test_distances_shrink_inside_domain(self):
         s = make_spectrum(list(range(6)), [1] * 6)

@@ -298,6 +298,44 @@ class TestSolveMultipliers:
         assert isinstance(exc.value.multipliers, MultiplierVector)
         assert not exc.value.report.converged
 
+    def test_budget_exhausted(self):
+        s = make_spectrum([0.0, 0.4, 1.1, 2.0, 3.5], [1, 1, 2, 1, 1])
+        with pytest.raises(NotConverged) as exc:
+            solve_multipliers(s, MomentVector((2.2, 6.4)), SolverOptions(max_iter=3))
+        report = exc.value.report
+        assert str(exc.value) == (f"iteration budget exhausted; residual sup norm "
+                                  f"{report.residual_norm:.3e} after 3 iterations")
+        assert not report.converged and report.iterations == 3
+        assert report.final_step_size > 0 and report.rescale_factor == 3.5
+        assert exc.value.multipliers.order == 2
+
+    def test_line_search_stalled(self):
+        # from a seeded search (seed 7) over targets drawn inside the cheap
+        # prescreen on {0, ..., n - 1}: these lie outside the moment set, and
+        # no step of at least 1e-16 lowers the dual after 12 Newton steps
+        s = make_spectrum([0, 1, 2, 3], [1] * 4)
+        targets = MomentVector((2.0817632285836005, 6.298473021442121, 24.32989982121538))
+        with pytest.raises(NotConverged) as exc:
+            solve_multipliers(s, targets)
+        report = exc.value.report
+        assert str(exc.value) == (f"line search stalled; residual sup norm "
+                                  f"{report.residual_norm:.3e} after 12 iterations")
+        assert not report.converged and report.iterations == 12
+        assert report.final_step_size > 0 and report.rescale_factor == 3.0
+        assert exc.value.multipliers.order == 3
+
+    def test_factorization_failed_beyond_the_ridge_cap(self, monkeypatch):
+        monkeypatch.setattr(maxent_module, "_newton_direction", lambda h, residual: None)
+        s = make_spectrum([0, 1, 2, 4], [1] * 4)
+        with pytest.raises(NotConverged) as exc:
+            solve_multipliers(s, MomentVector((1.0, 2.0)))
+        # no step was taken: the multipliers are the starting zeros, and the
+        # residual is the uniform distribution's, ((7/4, 21/4) - (1, 2)) / (4, 16)
+        assert str(exc.value) == ("Hessian factorization failed beyond the ridge cap; "
+                                  "residual sup norm 2.031e-01 after 0 iterations")
+        assert exc.value.multipliers == MultiplierVector((0.0, 0.0))
+        assert exc.value.report == SolverReport(False, 0, 0.203125, 0.0, 4.0)
+
     @pytest.mark.parametrize("levels, targets, n", [
         ([0, 1, 2, 1e160], (1.0, 1.5), 2),
         ([0, 1, 2, 1e110], (1.0, 1.5, 3.0), 3),

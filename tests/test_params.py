@@ -11,11 +11,14 @@ by class and fields, the ``repr`` text, copies and pickles.
 import copy
 import math
 import pickle
+import warnings
 
+import numpy as np
 import pytest
 
-from qbg.equivalence import EquivalenceReport
-from qbg.errors import OrderTooLarge
+from qbg.equivalence import EquivalenceReport, equivalence_report
+from qbg.errors import OrderTooLarge, OutsideConvergenceDomain
+from qbg.extbg import center_multipliers
 from qbg.maxent import SolverReport
 from qbg.params import (
     MAX_ORDER,
@@ -24,7 +27,11 @@ from qbg.params import (
     MomentVector,
     MultiplierVector,
     QParams,
+    clayton_multipliers,
+    clayton_to_q,
+    q_to_multipliers,
 )
+from qbg.spectrum import make_spectrum
 
 #: (class, positional arguments, keyword arguments, fields after construction,
 #: exact repr)
@@ -209,3 +216,58 @@ class TestValidation:
     def test_order_property(self):
         assert MultiplierVector((1.0, 2.0)).order == 2
         assert CenteredMultiplierVector((1.0, 2.0, 3.0), 0.5).order == 3
+
+
+class TestNumberRule:
+    """Every number a record takes is refused unless it is a real number,
+    and a numpy scalar is stored as a float, so no numpy arithmetic (or
+    warning) follows from it."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: QParams("0.98", 1.0),
+        lambda: QParams(0.98, "1"),
+        lambda: MultiplierVector((1.0, "2")),
+        lambda: CenteredMultiplierVector(("1",), 0.5),
+        lambda: CenteredMultiplierVector((1.0,), "0.5"),
+        lambda: MomentVector((1.0, "2")),
+        lambda: ClaytonParams("1", 0.5),
+        lambda: ClaytonParams(1.0, "0.5"),
+        lambda: clayton_to_q("0.5"),
+        lambda: center_multipliers(MultiplierVector((1.0,)), "0.5"),
+    ], ids=["q", "beta", "multiplier", "centered-multiplier", "center", "moment",
+            "clayton-beta", "delta", "clayton_to_q", "center_multipliers"])
+    def test_string_refused(self, build):
+        with pytest.raises(TypeError, match="^must be real number, not str$"):
+            build()
+
+    @pytest.mark.parametrize("numpy_built, float_built", [
+        (lambda: QParams(np.float64(0.5), np.int64(2)), lambda: QParams(0.5, 2.0)),
+        (lambda: MultiplierVector((np.float64(1.0), np.float32(0.5))),
+         lambda: MultiplierVector((1.0, 0.5))),
+        (lambda: CenteredMultiplierVector((np.float64(1.0),), np.int32(3)),
+         lambda: CenteredMultiplierVector((1.0,), 3.0)),
+        (lambda: MomentVector((np.float64(1.5), np.int64(3))), lambda: MomentVector((1.5, 3.0))),
+        (lambda: ClaytonParams(np.float64(2.0), np.float64(0.01)),
+         lambda: ClaytonParams(2.0, 0.01)),
+    ], ids=["QParams", "MultiplierVector", "CenteredMultiplierVector", "MomentVector",
+            "ClaytonParams"])
+    def test_numpy_scalars_stored_as_floats(self, numpy_built, float_built):
+        record, plain = numpy_built(), float_built()
+        assert record == plain and repr(record) == repr(plain)
+        numbers = [v for field in record._values()
+                   for v in (field if isinstance(field, tuple) else (field,))]
+        assert all(type(v) is float for v in numbers)
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: q_to_multipliers(QParams(np.float64(0.5), np.float64(1e200)), 2), ValueError),
+        (lambda: clayton_multipliers(ClaytonParams(np.float64(1e200), np.float64(0.01))),
+         ValueError),
+        (lambda: equivalence_report(make_spectrum([0, 1e300], [1, 1]),
+                                    QParams(np.float64(0.5), np.float64(1e10)), 2),
+         OutsideConvergenceDomain),
+    ], ids=["q_to_multipliers", "clayton_multipliers", "equivalence_report"])
+    def test_numpy_scalar_overflow_raises_its_error_without_a_warning(self, call, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                call()
