@@ -113,8 +113,7 @@ def run(config: argparse.Namespace) -> int:
     The report text is assembled fully before the file is opened, so a
     failing run leaves no partial output behind.
     """
-    if config.out is None:
-        raise ValueError(f"{config.subcommand} requires --out")
+    _require(config, "out")
     meta, header, rows = _handler(config.subcommand)(config)
     lines = [f"# tool: qbg {__version__}", f"# subcommand: {config.subcommand}"]
     lines.extend(f"# {key}={value}" for key, value in meta)

@@ -14,14 +14,16 @@ import numpy as np
 
 from .errors import OutsideConvergenceDomain
 from .extbg import _distributions, _scale_powers
-from .params import QParams, _Record, _require_order, q_to_multipliers
+from .params import QParams, _Record, _require_finite, _require_order, q_to_multipliers
 from .qstat import q_distribution
 from .spectrum import EnergySpectrum
 
 
 class EquivalenceReport(_Record):
     """Sup-norm distances between truncated exponential-polynomial
-    distributions and the exact q-distribution, per truncation order."""
+    distributions and the exact q-distribution, per truncation order.
+    Each distance, and the domain ratio, must be a finite number >= 0;
+    the fields are stored as given."""
 
     __match_args__ = ("orders", "sup_distances", "domain_ratio")
 
@@ -29,9 +31,9 @@ class EquivalenceReport(_Record):
                  domain_ratio: float):
         if len(orders) != len(sup_distances):
             raise ValueError("orders and distances must have equal length")
-        if any(d < 0 for d in sup_distances):
+        if any(_require_finite("distances", d) < 0 for d in sup_distances):
             raise ValueError("distances must be >= 0")
-        if domain_ratio < 0:
+        if _require_finite("domain ratio", domain_ratio) < 0:
             raise ValueError("domain ratio must be >= 0")
         self.__dict__.update(orders=orders, sup_distances=sup_distances,
                              domain_ratio=domain_ratio)
@@ -63,7 +65,7 @@ def equivalence_report(
     order 16, six from 16 on: the exact probabilities, and the sweep's
     running sum and scratch block (three rows, four from order 16), whose
     first two rows hold ``log g - s`` and the probabilities."""
-    _require_order(max_order, "max_order")
+    max_order = _require_order(max_order, "max_order")
     ratio = convergence_domain_ratio(spectrum, params)
     if ratio >= 1.0:
         raise OutsideConvergenceDomain(

@@ -20,15 +20,16 @@ import math
 
 import numpy as np
 
-from .errors import LengthMismatch, NonFiniteExponent
+from .errors import NonFiniteExponent
 from .params import (
     CenteredMultiplierVector,
     MomentVector,
     MultiplierVector,
     _require_finite,
+    _require_order,
 )
 from .params import load_multipliers  # noqa: F401  (perfbench/spans.py traces it here)
-from .spectrum import Distribution, EnergySpectrum, _power_matrix
+from .spectrum import Distribution, EnergySpectrum, _power_matrix, _require_same_levels
 
 
 def _spare_rows(order: int, size: int) -> np.ndarray:
@@ -187,7 +188,9 @@ def ext_distribution(
 
 
 def bg_entropy(dist: Distribution) -> float:
-    """Gibbs entropy -sum_i P_i log P_i with k = 1 and 0*log(0) = 0."""
+    """Gibbs entropy -sum_i P_i log P_i with k = 1 and 0*log(0) = 0, over the
+    level probabilities P_i: a level of degeneracy g_i counts once, where
+    :func:`~qbg.qstat.escort_energy` splits P_i among its g_i states."""
     p = dist.probs[dist.probs > 0]
     return float(-(p * np.log(p)).sum())
 
@@ -212,10 +215,8 @@ def raw_moments(
     """Raw moments mu_n = sum_i P_i * E_i**n for n = 1..order;
     :class:`NonFiniteExponent` if ``max|E|**n`` overflows for an n up to
     the order."""
-    if len(dist) != len(spectrum):
-        raise LengthMismatch(f"{len(spectrum)} levels but {len(dist)} probabilities")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _require_same_levels(dist, spectrum)
+    order = _require_order(order, cap=None)
     _scale_powers(spectrum._max_abs(), order, underflow=False)
     mu = dist.probs @ _power_matrix(spectrum, order)
     return MomentVector(tuple(mu))

@@ -52,7 +52,7 @@ from .errors import (
     TooFewLevels,
 )
 from .extbg import _scale_powers, ext_distribution
-from .params import MomentVector, MultiplierVector, _Record, _require_order
+from .params import MomentVector, MultiplierVector, _Record, _require_finite, _require_order
 from .spectrum import EnergySpectrum, _power_matrix, rescale
 
 _RIDGE_FLOOR = 1e-12
@@ -64,17 +64,17 @@ _MIN_STEP = 1e-16
 
 class SolverOptions(_Record):
     """Damped-Newton settings: ``tol`` applies to the moment-residual sup norm
-    of the internally rescaled problem, ``max_iter`` caps the Newton steps."""
+    of the internally rescaled problem, ``max_iter`` caps the Newton steps.
+    ``tol`` must be a finite number > 0 (stored as a float if given as a
+    numpy scalar), ``max_iter`` an integer >= 1 (stored as an ``int``)."""
 
     __match_args__ = ("tol", "max_iter")
 
     def __init__(self, tol: float = 1e-10, max_iter: int = 200):
-        if not 0 < tol < math.inf:
-            raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-        if (isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer))
-                or max_iter < 1):
-            raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
-        self.__dict__.update(tol=tol, max_iter=max_iter)
+        tol = _require_finite("tol", tol)
+        if not tol > 0:
+            raise ValueError(f"tol must be > 0, got {tol!r}")
+        self.__dict__.update(tol=tol, max_iter=_require_order(max_iter, "max_iter", cap=None))
 
 
 class SolverReport(_Record):

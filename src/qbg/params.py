@@ -23,8 +23,11 @@ a plain class on :class:`_Record`, which behaves as ``@dataclass(frozen=True)``
 would, comparing an array field by ``np.array_equal``; ``Fraction`` is
 imported inside the two functions that need it.  One rule,
 :func:`_require_finite`, reads every number a record takes: one that is not
-a real number (a numeric string too) raises ``TypeError``, a non-finite one
-``ValueError``, and a numpy scalar is kept as a float.
+a real number (a numeric string or a bool too) raises ``TypeError``, a
+non-finite one ``ValueError``, and a numpy scalar is kept as a float.  One
+rule, :func:`_require_order`, reads every count (an order, the solver's
+iteration budget): a bool or a non-integer raises ``ValueError``, and a
+numpy integer is kept as an ``int``.
 """
 
 from __future__ import annotations
@@ -44,22 +47,31 @@ _ABS_FALLBACK_FLOOR = 1e-300
 _ABS_FALLBACK_TOL = 1e-12
 
 
-def _require_order(n: int, name: str = "order"):
-    """``ValueError`` naming ``name`` if n < 1, :class:`OrderTooLarge` above MAX_ORDER."""
+def _require_order(n, name: str = "order", cap=MAX_ORDER) -> int:
+    """``n`` as an ``int``: ``ValueError`` naming ``name`` if it is a bool,
+    not an integer (a float such as 2.0 too) or below 1, and
+    :class:`OrderTooLarge` above ``cap`` (no cap with None).  A numpy
+    integer passes: it has ``__index__``, as ``int`` has."""
+    if isinstance(n, bool) or not hasattr(n, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"{name} must be >= 1")
-    if n > MAX_ORDER:
-        raise OrderTooLarge(f"order {n} exceeds the cap of {MAX_ORDER}")
+    if cap is not None and n > cap:
+        raise OrderTooLarge(f"order {n} exceeds the cap of {cap}")
+    return n.__index__()
 
 
 def _require_finite(name: str, value):
     """``value`` as a record holds it: a numpy scalar as a float, an exact
     type (int, ``Fraction``) as it is.  ``TypeError`` if it is not a real
-    number (a numeric string too), ``ValueError`` naming ``name`` if it is
-    not finite.  numpy is not imported: a numpy scalar needs it loaded."""
+    number (a numeric string or a bool too), ``ValueError`` naming ``name``
+    if it is not finite.  numpy is not imported: a numpy scalar needs it
+    loaded."""
+    np = sys.modules.get("numpy")
+    if isinstance(value, (bool, np.bool_) if np else bool):
+        raise TypeError("must be real number, not bool")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    np = sys.modules.get("numpy")
     return float(value) if np and isinstance(value, (np.floating, np.integer)) else value
 
 
@@ -220,7 +232,7 @@ def q_to_multipliers(params: QParams, order: int) -> MultiplierVector:
     At q = 1 this is (beta, 0, ..., 0) for any beta: the series terminates.
     A beta_n out of the float range raises ``ValueError``.
     """
-    _require_order(order)
+    order = _require_order(order)
     one_minus_q = 1 - params.q
     return MultiplierVector(
         tuple(_mapped(one_minus_q, params.beta, n) for n in range(1, order + 1))

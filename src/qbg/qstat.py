@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AllLevelsCutOff, LengthMismatch
+from .errors import AllLevelsCutOff
 from .extbg import _normalize, bg_entropy
 from .params import QParams, _require_finite
-from .spectrum import Distribution, EnergySpectrum
+from .spectrum import Distribution, EnergySpectrum, _require_same_levels
 
 #: Below this |q - 1| the exact Boltzmann/Gibbs formulas are used.
 Q_ONE_EPS = 1e-12
@@ -75,7 +75,9 @@ def q_distribution(
 
 
 def tsallis_entropy(dist: Distribution, q: float) -> float:
-    """Entropy of order q with k = 1; zero-probability terms contribute 0.
+    """Entropy of order q with k = 1 over the level probabilities P_i (not
+    over states, as :func:`escort_energy` takes them: a level of
+    degeneracy g_i counts once); zero-probability terms contribute 0.
 
     Evaluated as ``-sum_i P_i * expm1((q-1)*log(P_i)) / (q-1)``, which is
     exact in the q -> 1 limit direction; |q-1| < 1e-12 routes to
@@ -97,15 +99,13 @@ def escort_energy(dist: Distribution, spectrum: EnergySpectrum, q: float) -> flo
 
     Level probability is split equally among the g_i states of a level
     before raising to the power q, so each state carries ``(P_i/g_i)**q``
-    and the degeneracy contributes the factor ``g_i**(1-q)``.  A non-finite
-    q, or an energy past the float range or NaN (a ``P_i**q`` that overflows,
-    times E_i = 0), raises ``ValueError``.
+    and the degeneracy contributes the factor ``g_i**(1-q)``; the entropies
+    take the level probabilities instead, so the two agree only where
+    every g_i is 1.  A non-finite q, or an energy past the float range or
+    NaN (a ``P_i**q`` that overflows, times E_i = 0), raises ``ValueError``.
     """
     _require_finite("q", q)
-    if len(dist) != len(spectrum):
-        raise LengthMismatch(
-            f"{len(spectrum)} levels but {len(dist)} probabilities"
-        )
+    _require_same_levels(dist, spectrum)
     p = dist.probs
     e = spectrum.levels
     g = spectrum.degeneracies.astype(np.float64)

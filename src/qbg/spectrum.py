@@ -6,7 +6,9 @@ degeneracy already folded in, so ``P_i`` is the total probability of level i.
 
 ``EnergySpectrum.levels`` is a float64 array, ``EnergySpectrum.degeneracies``
 an int64 array and ``Distribution.probs`` a float64 array.  Each is a private,
-read-only copy made at construction (writing into one raises ``ValueError``).
+read-only copy made at construction (writing into one raises ``ValueError``),
+by one rule, :func:`_frozen_vector`: strings (numeric ones too) and complex
+values raise ``TypeError``, and a degeneracy must be an int64 integer.
 Two spectra, or two distributions, are equal when their arrays are
 (``np.array_equal``); neither has a hash.
 
@@ -42,27 +44,25 @@ NORMALIZATION_TOL = 1e-12
 
 
 def _frozen_vector(values, dtype, what: str) -> np.ndarray:
-    """A read-only 1-D copy of ``values`` as ``dtype``."""
-    a = np.array(values, dtype=dtype)
+    """A read-only 1-D copy of ``values`` as ``dtype``, its own dtype read
+    once (``np.array(values)``): a kind other than bool, integer, float or
+    object (strings and complex values) raises ``TypeError``.  As int64,
+    a value that is not an integer, or does not fit in int64, raises
+    :class:`NonPositiveDegeneracy`.  Converting takes no second copy
+    where ``values`` already has ``dtype``."""
+    a = np.array(values)
+    if a.dtype.kind not in "biufO":
+        raise TypeError(f"{what} must be real numbers, got dtype {a.dtype}")
+    if dtype is np.int64 and a.dtype.kind not in "biu":
+        a = a.astype(np.float64, copy=False)
+        bad = ~(np.abs(a) < 2.0**63) | (a != np.trunc(a))
+        if bad.any():
+            raise NonPositiveDegeneracy(f"degeneracy {float(a[bad][0])!r} is not an int64 integer")
     if a.ndim != 1:
         raise ValueError(f"{what} must be a one-dimensional sequence")
+    a = a.astype(dtype, copy=False)
     a.flags.writeable = False
     return a
-
-
-def _integer_degeneracies(values) -> np.ndarray:
-    """``values`` as an integer array; a value that is not an integer, or
-    does not fit in int64, raises :class:`NonPositiveDegeneracy`."""
-    degs = np.asarray(values)
-    if degs.dtype.kind in "biu":
-        return degs
-    as_float = degs.astype(np.float64)
-    bad = ~(np.abs(as_float) < 2.0**63) | (as_float != np.trunc(as_float))
-    if bad.any():
-        raise NonPositiveDegeneracy(
-            f"degeneracy {float(as_float[bad][0])!r} is not an int64 integer"
-        )
-    return as_float
 
 
 class EnergySpectrum(_Record):
@@ -83,7 +83,7 @@ class EnergySpectrum(_Record):
             raise ValueError("levels must be finite")
         if not (levels[1:] > levels[:-1]).all():
             raise UnsortedLevels("levels must be strictly increasing")
-        degs = _frozen_vector(_integer_degeneracies(degeneracies), np.int64, "degeneracies")
+        degs = _frozen_vector(degeneracies, np.int64, "degeneracies")
         if degs.size != levels.size:
             raise LengthMismatch(f"{levels.size} levels but {degs.size} degeneracies")
         if not (degs >= 1).all():
@@ -157,6 +157,12 @@ class Distribution(_Record):
         return len(self.probs)
 
 
+def _require_same_levels(dist: Distribution, spectrum: EnergySpectrum):
+    """:class:`LengthMismatch` unless ``dist`` has one probability per level."""
+    if len(dist) != len(spectrum):
+        raise LengthMismatch(f"{len(spectrum)} levels but {len(dist)} probabilities")
+
+
 def _power_matrix(spectrum: EnergySpectrum, order: int) -> np.ndarray:
     """``E_i**n`` for n = 1..order, shape (levels, order): a C-contiguous
     copy of the first ``order`` powers of the spectrum's power cache.
@@ -179,11 +185,11 @@ def make_spectrum(levels, degeneracies) -> EnergySpectrum:
 
 
 def rescale(spectrum: EnergySpectrum, scale: float) -> EnergySpectrum:
-    """Divide every level by ``scale`` (> 0); degeneracies are unchanged.  A
-    level that overflows raises ``ValueError``, with no warning first."""
-    scale = float(scale)
-    if not scale > 0 or not math.isfinite(scale):
-        raise NonPositiveScale(f"scale must be positive and finite, got {scale!r}")
+    """Divide every level by ``scale`` (> 0, finite), taken as given: a
+    string raises ``TypeError``.  Degeneracies are unchanged.  A level that
+    overflows raises ``ValueError``, with no warning first."""
+    if not math.isfinite(scale) or not scale > 0:
+        raise NonPositiveScale(f"scale must be positive and finite, got {float(scale)!r}")
     with np.errstate(over="ignore"):   # EnergySpectrum refuses a level that overflows
         return EnergySpectrum(spectrum.levels / scale, spectrum.degeneracies)
 

@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 
 from qbg.cli import main
+from qbg.commands import _SUBCOMMANDS
 
 DATA = Path(__file__).parent / "data"
+#: ``qbg --help`` and each subcommand's help text at 80 columns, one file each.
+HELP_TEXTS = sorted((Path(__file__).parent / "golden" / "help").glob("*.txt"))
 #: The environment of a ``python -m qbg`` child: it imports qbg from ``src``,
 #: and every warning is an error in it, as in this process.
 ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
@@ -641,6 +644,21 @@ def test_import_loads_no_scipy(tmp_path, spectrum_file):
     )
     assert result.stdout.split("\n") == ["[]", "[]", ""]
     assert parse_report(out)[0]["converged"] == "true"
+
+
+@pytest.mark.parametrize("golden", HELP_TEXTS, ids=[p.stem for p in HELP_TEXTS])
+def test_help_text_matches_golden(golden, monkeypatch, capsys):
+    # argparse wraps to the terminal width, which it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if golden.stem == "qbg" else [golden.stem, "--help"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+
+def test_every_subcommand_has_a_golden_help_text():
+    assert sorted(p.stem for p in HELP_TEXTS) == sorted(["qbg", *_SUBCOMMANDS])
 
 
 class TestRecordedReports:

@@ -341,6 +341,8 @@ class TestEquivalenceReport:
         (((1, 2), (0.1,), 0.5), "orders and distances must have equal length"),
         (((1,), (-0.1,), 0.5), "distances must be >= 0"),
         (((1,), (0.1,), -0.5), "domain ratio must be >= 0"),
+        (((1,), (math.nan,), 0.5), "distances must be finite, got nan"),
+        (((1,), (0.1,), math.nan), "domain ratio must be finite, got nan"),
     ])
     def test_report_fields_checked(self, args, message):
         with pytest.raises(ValueError, match=rf"^{message}$"):

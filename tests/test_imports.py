@@ -23,6 +23,10 @@ ENV = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONWARNINGS": "error"}
 
 NUMERIC = ["qbg.equivalence", "qbg.extbg", "qbg.maxent", "qbg.qstat", "qbg.spectrum"]
 
+#: The submodules that ``import qbg`` leaves unloaded until first use.
+SUBMODULES = {"cli", "commands", "equivalence", "extbg", "maxent", "params", "qstat",
+              "spectrum"}
+
 #: Standard modules that ``map``, ``invert-map`` and ``clayton`` do without.
 NOT_ON_LIGHT_PATH = {"dataclasses", "inspect", "fractions", "decimal", "json"}
 
@@ -124,6 +128,20 @@ def test_submodule_resolves_as_attribute():
     code = ("import sys, json, qbg; m = qbg.extbg; "
             "print(json.dumps([m.__name__, m is sys.modules['qbg.extbg']]))")
     assert child(code) == ["qbg.extbg", True]
+
+
+def test_dir_and_submodule_attributes_load_no_numpy():
+    # dir(qbg) lists the lazy names without importing them; a submodule
+    # reached as an attribute after a bare ``import qbg`` is imported then
+    code = ("import sys, json, qbg\n"
+            "names = dir(qbg)\n"
+            "numpy_after_dir = 'numpy' in sys.modules\n"
+            "home = qbg.extbg.ext_distribution.__module__\n"
+            "print(json.dumps([names, numpy_after_dir, home, qbg.__all__]))")
+    names, numpy_after_dir, home, public = child(code)
+    assert set(public) | SUBMODULES <= set(names)
+    assert numpy_after_dir is False
+    assert home == "qbg.extbg"
 
 
 def test_every_public_name_resolves():

@@ -140,6 +140,11 @@ class TestSolverOptions:
     def test_integer_max_iter_accepted(self):
         assert SolverOptions(max_iter=np.int64(3)).max_iter == 3
 
+    def test_numpy_scalars_stored_as_python_numbers(self):
+        opts = SolverOptions(np.float64(1e-9), np.int64(5))
+        assert opts == SolverOptions(1e-9, 5)
+        assert repr(opts) == repr(SolverOptions(1e-9, 5)) == "SolverOptions(tol=1e-09, max_iter=5)"
+
     def test_defaults(self):
         opts = SolverOptions()
         assert (opts.tol, opts.max_iter) == (1e-10, 200)

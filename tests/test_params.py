@@ -11,6 +11,7 @@ by class and fields, the ``repr`` text, copies and pickles.
 import copy
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -18,8 +19,8 @@ import pytest
 
 from qbg.equivalence import EquivalenceReport, equivalence_report
 from qbg.errors import OrderTooLarge, OutsideConvergenceDomain
-from qbg.extbg import center_multipliers
-from qbg.maxent import SolverReport
+from qbg.extbg import center_multipliers, raw_moments
+from qbg.maxent import SolverOptions, SolverReport
 from qbg.params import (
     MAX_ORDER,
     CenteredMultiplierVector,
@@ -31,7 +32,7 @@ from qbg.params import (
     clayton_to_q,
     q_to_multipliers,
 )
-from qbg.spectrum import make_spectrum
+from qbg.spectrum import Distribution, make_spectrum, rescale
 
 #: (class, positional arguments, keyword arguments, fields after construction,
 #: exact repr)
@@ -234,10 +235,24 @@ class TestNumberRule:
         lambda: ClaytonParams(1.0, "0.5"),
         lambda: clayton_to_q("0.5"),
         lambda: center_multipliers(MultiplierVector((1.0,)), "0.5"),
+        lambda: SolverOptions("1e-9"),
+        lambda: rescale(make_spectrum([0, 1], [1, 1]), "2"),
     ], ids=["q", "beta", "multiplier", "centered-multiplier", "center", "moment",
-            "clayton-beta", "delta", "clayton_to_q", "center_multipliers"])
+            "clayton-beta", "delta", "clayton_to_q", "center_multipliers", "tol", "rescale"])
     def test_string_refused(self, build):
         with pytest.raises(TypeError, match="^must be real number, not str$"):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: QParams(True, 1.0),
+        lambda: QParams(0.5, True),
+        lambda: MultiplierVector((True,)),
+        lambda: ClaytonParams(1.0, np.True_),
+        lambda: SolverOptions(True),
+    ], ids=["q", "beta", "multiplier", "numpy-bool-delta", "tol"])
+    def test_bool_refused(self, build):
+        # bool is an int subclass: True would be stored, or computed with, as 1
+        with pytest.raises(TypeError, match="^must be real number, not bool$"):
             build()
 
     @pytest.mark.parametrize("numpy_built, float_built", [
@@ -271,3 +286,28 @@ class TestNumberRule:
             warnings.simplefilter("error")
             with pytest.raises(error):
                 call()
+
+
+class TestCountRule:
+    """Every order, and the solver's iteration budget, is an integer read
+    by one rule: a bool or a float, an integral one too, is refused with a
+    ``ValueError`` naming it, and a numpy integer is taken as an ``int``."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: q_to_multipliers(QParams(0.5, 1.0), True), "order must be an integer, got True"),
+        (lambda: q_to_multipliers(QParams(0.5, 1.0), 2.0), "order must be an integer, got 2.0"),
+        (lambda: equivalence_report(make_spectrum([0, 1], [1, 1]), QParams(0.9, 0.5),
+                                    max_order=2.0),
+         "max_order must be an integer, got 2.0"),
+        (lambda: raw_moments(Distribution([0.5, 0.5]), make_spectrum([0, 1], [1, 1]), 2.0),
+         "order must be an integer, got 2.0"),
+        (lambda: SolverOptions(max_iter=2.5), "max_iter must be an integer, got 2.5"),
+    ], ids=["bool-order", "float-order", "max_order", "raw_moments", "max_iter"])
+    def test_non_integer_refused(self, call, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            call()
+
+    def test_numpy_integer_taken_as_int(self):
+        params = QParams(0.5, 1.0)
+        assert q_to_multipliers(params, np.int64(3)) == q_to_multipliers(params, 3)
+        assert type(SolverOptions(max_iter=np.int32(4)).max_iter) is int

@@ -1,9 +1,11 @@
 import copy
 import math
 import pickle
+import re
 import sys
 import threading
 from collections.abc import Hashable
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -95,6 +97,32 @@ class TestMakeSpectrum:
         assert s.degeneracies.dtype == np.int64
         assert s.degeneracies.tolist() == [1, 2]
         assert s == make_spectrum([0.0, 1.0], [1, 2])
+
+
+class TestArrayRule:
+    """An array's own dtype is read once: strings, numeric ones too, and
+    complex values are refused before any conversion, with no warning."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: make_spectrum(["0", "1e0"], ["1", "2"]),
+         "levels must be real numbers, got dtype <U3"),
+        (lambda: make_spectrum([0.0, 1.0], ["1", "2"]),
+         "degeneracies must be real numbers, got dtype <U1"),
+        (lambda: Distribution(["0.5", "0.5"]),
+         "probabilities must be real numbers, got dtype <U3"),
+        (lambda: Distribution(np.array([0.5 + 3j, 0.5])),
+         "probabilities must be real numbers, got dtype complex128"),
+    ], ids=["string-levels", "string-degeneracies", "string-probabilities",
+            "complex-probabilities"])
+    def test_refused(self, build, message):
+        with pytest.raises(TypeError, match=rf"^{re.escape(message)}$"):
+            build()
+
+    def test_exact_and_boolean_inputs_convert(self):
+        s = make_spectrum([Fraction(1, 3), 1], [True, 2**62])
+        assert s.levels.tolist() == [1 / 3, 1.0]
+        assert s.degeneracies.tolist() == [1, 2**62]
+        assert Distribution([Fraction(1, 4), Fraction(3, 4)]).probs.tolist() == [0.25, 0.75]
 
 
 class TestRescale:
