@@ -10,7 +10,8 @@ exit status is nonzero.
 Parameters may come from flags or from a JSON config file (``--config``);
 flags win on conflict.  Each parameter is declared once, in ``_PARAMS``:
 its flag, its help text, and the conversion and checks its value gets,
-whichever source it came from.
+whichever source it came from.  Values are checked in ``--help`` order, so
+of several bad values the first listed by ``--help`` is the one reported.
 
 This module and :mod:`qbg.params` import no numpy, and they hold all that
 ``map``, ``invert-map`` and ``clayton`` run, so a process running one of
@@ -164,9 +165,6 @@ _PARAMS = {
     "tol": (*_NUMBER, "tolerance"),
     "out": (*_PATH, "output CSV path"),
 }
-#: Values are converted one converter at a time, in this order; of several
-#: values that fail, the first in this order is the one reported.
-_CONVERSION_ORDER = (os.fspath, _number, _integer, _targets)
 
 #: Every flag; each takes one value.
 _VALUE_FLAGS = frozenset([*map(_flag, _PARAMS), "--config"])
@@ -210,10 +208,11 @@ def _joined(argv: list[str]) -> list[str]:
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Flags, and the config file for what they leave unset, each value
-    converted and checked; a value that fails is a ValueError.  Every
-    conversion comes first, then the finiteness checks, then the checks on
-    ``--targets``: of several bad values, the first to fail in that order is
-    the one reported."""
+    converted and checked; a value that fails is a ValueError.  One pass
+    over ``_PARAMS``, in ``--help`` order, converts each value and then runs
+    its own checks (a number must be finite; ``--targets`` must list at
+    least one moment, each finite): of several bad values, the first in
+    ``--help`` order is the one reported."""
     values = {key: getattr(args, key) for key in _PARAMS}
     if args.config is not None:
         import json
@@ -228,22 +227,19 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
                 raise ValueError(f"unknown config key {key!r}")
             if values[key] is None:
                 values[key] = value
-    for key in sorted(_PARAMS, key=lambda key: _CONVERSION_ORDER.index(_PARAMS[key][0])):
-        convert, must_be, _, _ = _PARAMS[key]
+    for key, (convert, must_be, _, _) in _PARAMS.items():
         value = values[key]
-        if value is not None:
-            try:
-                values[key] = convert(value)
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError(f"{_flag(key)} must be {must_be}, got {value!r}") from None
-    for key, (convert, *_) in _PARAMS.items():
-        if convert is _number and values[key] is not None:
+        if value is None:
+            continue
+        try:
+            values[key] = convert(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{_flag(key)} must be {must_be}, got {value!r}") from None
+        if convert is _number:
             _require_finite(_flag(key), values[key])
-    targets = values["targets"]
-    if targets is not None:
-        if len(targets) == 0:
+        elif convert is _targets and len(values[key]) == 0:
             raise ValueError("--targets must list at least one moment")
-        if any(not math.isfinite(t) for t in targets):
+        elif convert is _targets and not all(map(math.isfinite, values[key])):
             raise ValueError("--targets entries must be finite")
     return argparse.Namespace(subcommand=args.subcommand, **values)
 

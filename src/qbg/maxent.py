@@ -16,8 +16,13 @@ solution) and :func:`dual_hessian` returns the covariance matrix.
 rescaled into [-1, 1] (raw monomials on wide spectra make the Hessian
 numerically singular), the step solves ``(H + ridge*I) d = residual`` with a
 ridge added only when the Cholesky factorization fails (1e-12, escalated x10
-up to 1e-6), and an Armijo backtracking line search (constant 1e-4, step
-halved) keeps F non-increasing.  These are fixed constants; only the
+up to 1e-6), and a backtracking line search (step halved) accepts a trial
+that passes the Armijo test on F (constant 1e-4), or that keeps F within 4
+ulps of the current F and cuts the residual's sup norm to at most
+``(1 - 1e-4 * step)`` times the current one.  Near the optimum F's decrease
+falls below its rounding, where the Armijo test alone passes only on noise;
+the guard on F keeps F non-increasing to within a few ulps, and without it
+a residual cut that raises F can cycle.  These are fixed constants; only the
 tolerance and the iteration budget are :class:`SolverOptions`.
 :func:`_dual_state` evaluates each point once, the start and every trial,
 and an accepted trial's ``(log Z, mu, H)`` is the next iterate's; a trial it
@@ -60,6 +65,7 @@ _MAX_RIDGE = 1e-6
 _ARMIJO_C = 1e-4
 _BACKTRACK_FACTOR = 0.5
 _MIN_STEP = 1e-16
+_F_ULPS = 4
 
 
 class SolverOptions(_Record):
@@ -105,10 +111,12 @@ def dual_hessian(
     spectrum: EnergySpectrum, m: MultiplierVector, order: int
 ) -> np.ndarray:
     """Covariance matrix ``Cov(E**j, E**k)`` under the current distribution;
-    symmetric positive semidefinite, equals the Hessian of F."""
+    symmetric positive semidefinite, equals the Hessian of F.  ``order``
+    must equal ``m.order`` (:class:`OrderMismatch`) and be an integer, as
+    :func:`~qbg.params._require_order` decides (``ValueError`` for 2.0)."""
     if order != m.order:
         raise OrderMismatch(f"multiplier order {m.order} but requested {order}")
-    return _dual_state(spectrum, m, _power_matrix(spectrum, order))[2]
+    return _dual_state(spectrum, m, _power_matrix(spectrum, _require_order(order)))[2]
 
 
 def _dual_state(spectrum: EnergySpectrum, m: MultiplierVector, pw: np.ndarray):
@@ -231,9 +239,13 @@ def solve_multipliers(
             try:
                 state = _dual_state(scaled, MultiplierVector(tuple(trial)), pw)
                 trial_dual = state[0] + float(trial @ t_scaled)
+                trial_norm = float(np.max(np.abs(state[1] - t_scaled)))
             except ValueError:   # a non-finite trial, or probabilities Distribution refuses
                 trial_dual = math.nan
-            if math.isfinite(trial_dual) and trial_dual <= dual_value + _ARMIJO_C * step * slope:
+            if math.isfinite(trial_dual) and (
+                    trial_dual <= dual_value + _ARMIJO_C * step * slope
+                    or trial_dual <= dual_value + _F_ULPS * math.ulp(dual_value)
+                    and trial_norm <= (1 - _ARMIJO_C * step) * residual_norm):
                 break
             step *= _BACKTRACK_FACTOR
         if step < _MIN_STEP:

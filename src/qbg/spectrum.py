@@ -7,8 +7,9 @@ degeneracy already folded in, so ``P_i`` is the total probability of level i.
 ``EnergySpectrum.levels`` is a float64 array, ``EnergySpectrum.degeneracies``
 an int64 array and ``Distribution.probs`` a float64 array.  Each is a private,
 read-only copy made at construction (writing into one raises ``ValueError``),
-by one rule, :func:`_frozen_vector`: strings (numeric ones too) and complex
-values raise ``TypeError``, and a degeneracy must be an int64 integer.
+by one rule, :func:`_frozen_vector`: strings (numeric ones too, and inside
+an object array) and complex values raise ``TypeError``, and a degeneracy
+must be an int64 integer.
 Two spectra, or two distributions, are equal when their arrays are
 (``np.array_equal``); neither has a hash.
 
@@ -46,13 +47,17 @@ NORMALIZATION_TOL = 1e-12
 def _frozen_vector(values, dtype, what: str) -> np.ndarray:
     """A read-only 1-D copy of ``values`` as ``dtype``, its own dtype read
     once (``np.array(values)``): a kind other than bool, integer, float or
-    object (strings and complex values) raises ``TypeError``.  As int64,
+    object (strings and complex values) raises ``TypeError``, as does a
+    ``str`` or ``bytes`` element of an object array.  As int64,
     a value that is not an integer, or does not fit in int64, raises
     :class:`NonPositiveDegeneracy`.  Converting takes no second copy
     where ``values`` already has ``dtype``."""
     a = np.array(values)
     if a.dtype.kind not in "biufO":
         raise TypeError(f"{what} must be real numbers, got dtype {a.dtype}")
+    for x in a.flat if a.dtype.kind == "O" else ():
+        if isinstance(x, (str, bytes)):   # astype(float64) would parse it
+            raise TypeError(f"{what} must be real numbers, got {x!r}")
     if dtype is np.int64 and a.dtype.kind not in "biu":
         a = a.astype(np.float64, copy=False)
         bad = ~(np.abs(a) < 2.0**63) | (a != np.trunc(a))

@@ -592,12 +592,13 @@ class TestInputChecks:
         ("solve", [], {"targets": []}, "--targets must list at least one moment"),
         ("solve", ["--targets", "2,nan"], None, "--targets entries must be finite"),
         ("solve", [], {"targets": [2.0, math.inf]}, "--targets entries must be finite"),
-        # several bad values: conversions first (paths, numbers, integers,
-        # --targets), then finiteness, then the --targets checks
-        ("solve", ["--tol", "inf"], {"targets": []}, "--tol must be finite, got inf"),
-        ("map", ["--q", "nan", "--beta", "1"], {"order": 2.5},
-         "--order must be an integer, got 2.5"),
+        # several bad values: the first in --help order is reported, each
+        # value converted and checked at its turn
+        ("solve", ["--tol", "inf"], {"targets": []}, "--targets must list at least one moment"),
+        ("map", ["--q", "nan", "--beta", "1"], {"order": 2.5}, "--q must be finite, got nan"),
         ("map", ["--q", "0.98", "--beta", "1"], {"order": 2.5, "tol": "x"},
+         "--order must be an integer, got 2.5"),
+        ("map", ["--q", "0.98", "--beta", "1"], {"order": 2, "tol": "x"},
          "--tol must be a number, got 'x'"),
         ("map", ["--q", "0.98", "--beta", "1", "--order", "2"], [1, 2],
          "config file must hold a JSON object"),

@@ -379,9 +379,11 @@ class TestLoadMultipliers:
         assert exc.value.line_number == line
 
 
+@pytest.mark.bits("golden")
 class TestLogSumExpMatchesScipy:
     """``_logsumexp`` must equal ``scipy.special.logsumexp`` bit for bit:
-    every partition sum and probability in the reports goes through it."""
+    every partition sum and probability in the reports goes through it.
+    Guards the goldens: the ``equiv`` golden needs scipy's tie rule."""
 
     @staticmethod
     def check(a):
@@ -445,10 +447,14 @@ def exponents(spectrum, m, first=1):
         return [s.copy() for s in _prefix_sums(column, m.order, scratch, first)]
 
 
+@pytest.mark.bits("emulation")
 class TestPrefixSumsMatchNumpy:
     """The exponent kernel adds columns in numpy's row-sum order.  The sweep
     and ``ext_distribution`` share the kernel, so numpy's own reduction is the
-    independent reference; a change to numpy's order fails here."""
+    independent reference; a change to numpy's order fails here.  Guards an
+    emulation, not a report: it goes when the exponents are summed left to
+    right.  The first-order distributions test also spells the probabilities
+    out as ``exp(a - log Z)``."""
 
     @staticmethod
     def matrix(rng, rows, cols):
@@ -529,6 +535,7 @@ class TestPrefixSumsMatchNumpy:
                 (fresh,) = exponents(s, MultiplierVector(tuple(coeffs[:n])), n)
                 assert np.array_equal(bits(fresh), expected)
 
+    @pytest.mark.bits("normalisation")
     def test_distributions_from_any_first_order_match_fresh_evaluations(self):
         rng = np.random.default_rng(43)
         levels = np.linspace(-2.0, 8.0, 3_001)

@@ -5,6 +5,9 @@ without the ``scipy.linalg`` package.  Here the package is the oracle: on
 every (H, residual) the solver meets and on seeded random matrices, the
 factor bits, the solution bits and the failure verdict (and so the ridge
 sequence) must be the ones scipy gives.
+
+Guards an emulation, not a report: these pins go with the direct LAPACK
+calls when the solver takes numpy's Cholesky.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from qbg.errors import NotConverged
 SRC = Path(__file__).parents[1] / "src"
 #: the function under test, kept apart from the recording stand-in below
 newton_direction = maxent_module._newton_direction
+pytestmark = pytest.mark.bits("emulation")
 RECORDED = json.loads(
     (Path(__file__).parents[1] / "perfbench" / "cli_cases.json").read_text(encoding="utf-8")
 )["cases"]

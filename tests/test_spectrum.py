@@ -112,8 +112,16 @@ class TestArrayRule:
          "probabilities must be real numbers, got dtype <U3"),
         (lambda: Distribution(np.array([0.5 + 3j, 0.5])),
          "probabilities must be real numbers, got dtype complex128"),
+        # a string among exact numbers makes an object array
+        (lambda: make_spectrum([Fraction(0), "1"], [1, 1]),
+         "levels must be real numbers, got '1'"),
+        (lambda: make_spectrum([0.0, 1.0], [Fraction(1), b"2"]),
+         "degeneracies must be real numbers, got b'2'"),
+        (lambda: Distribution([Fraction(1, 2), "0.5"]),
+         "probabilities must be real numbers, got '0.5'"),
     ], ids=["string-levels", "string-degeneracies", "string-probabilities",
-            "complex-probabilities"])
+            "complex-probabilities", "object-string-levels", "object-bytes-degeneracies",
+            "object-string-probabilities"])
     def test_refused(self, build, message):
         with pytest.raises(TypeError, match=rf"^{re.escape(message)}$"):
             build()
