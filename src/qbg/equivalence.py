@@ -15,7 +15,7 @@ import numpy as np
 from .errors import OutsideConvergenceDomain
 from .extbg import _distributions, _scale_powers
 from .params import QParams, _Record, _require_finite, _require_order, q_to_multipliers
-from .qstat import q_distribution
+from .qstat import _q_probs
 from .spectrum import EnergySpectrum
 
 
@@ -58,13 +58,21 @@ def equivalence_report(
     an n up to ``max_order`` raises :class:`NonFiniteExponent`: a beta_n
     that underflowed to 0 would drop a term that is not small.
 
-    The order-N distributions come from one sweep over the spectrum's
-    cached powers (:func:`~qbg.extbg._distributions`), each bit for bit a
-    fresh order-N :func:`~qbg.extbg.ext_distribution`.  With the spectrum's
-    caches warm, the call holds five level-sized arrays at its peak below
-    order 16, six from 16 on: the exact probabilities, and the sweep's
-    running sum and scratch block (three rows, four from order 16), whose
-    first two rows hold ``log g - s`` and the probabilities."""
+    The exact probabilities are :func:`~qbg.qstat.q_distribution`'s, bit
+    for bit, from :func:`~qbg.qstat.log_weights` and the shared
+    normalisation, without its :class:`~qbg.spectrum.Distribution` copy,
+    so they are not checked to sum to 1: where |log Z| reaches 2**14 the
+    distances carry log Z's rounding (README) instead of ending in
+    ``ValueError``.  The order-N distributions come from one sweep over
+    the spectrum's cached powers (:func:`~qbg.extbg._distributions`), each
+    bit for bit a fresh order-N :func:`~qbg.extbg.ext_distribution`, and
+    certified finite once for all orders.  Each distance is
+    ``max(d.max(), -d.min())`` of ``d = P_N - P_q``, written over the
+    order's probabilities.  With the spectrum's caches warm, the call
+    holds five level-sized arrays at its peak below order 16, six from 16
+    on: the exact probabilities, and the sweep's running sum and scratch
+    block (three rows, four from order 16), whose first two rows hold
+    ``log g - s`` and the probabilities."""
     max_order = _require_order(max_order, "max_order")
     ratio = convergence_domain_ratio(spectrum, params)
     if ratio >= 1.0:
@@ -73,9 +81,10 @@ def equivalence_report(
         )
     if params.q != 1 and params.beta != 0:   # no beta_n is an exact zero
         _scale_powers(spectrum._max_abs(), max_order, underflow=False)
-    exact, _ = q_distribution(spectrum, params)
+    exact = _q_probs(spectrum, params)[0]
     distances = []
     for probs, _ in _distributions(spectrum, q_to_multipliers(params, max_order)):
-        np.subtract(probs, exact.probs, out=probs)
-        distances.append(float(np.abs(probs, out=probs).max()))
+        d = np.subtract(probs, exact, out=probs)
+        # both are exp's, so d is never -0.0: this is max|d| bit for bit
+        distances.append(float(max(d.max(), -d.min())))
     return EquivalenceReport(tuple(range(1, max_order + 1)), tuple(distances), ratio)

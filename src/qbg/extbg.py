@@ -127,23 +127,54 @@ def _checked(s: np.ndarray, column, order: int) -> np.ndarray:
     return s
 
 
-def _distributions(spectrum: EnergySpectrum, m: MultiplierVector, first: int = 1):
-    """Yield ``(probs, log Z)`` of the order-N distribution
-    ``P_i = g_i * exp(-s_i - log Z)``, ``s_i = sum_{n<=N} beta_n * E_i**n``,
-    for N = first..m.order, each bit for bit what the first N multipliers
-    give alone.  ``probs`` is a row of the sweep's scratch block, valid
-    (and the caller's to overwrite) until the next order.  A term that
-    overflows raises :class:`NonFiniteExponent` at the first yield whose
-    sum holds it, without a warning first."""
+def _certified(scale: float, coeffs) -> bool:
+    """Whether ``S = sum_n |beta_n| * scale**n`` over the nonzero beta_n,
+    ``scale`` being ``max|E|``, is below 2**1000.  Then no term
+    ``beta_n * E_i**n`` and no sum of them can be non-finite, so the sweep
+    need not look.  A power or sum that overflows while forming S means
+    "not certified": Python's ``float ** int`` raises ``OverflowError``,
+    and a zero beta_n, whose term is an exact 0.0, is skipped.  Inside the
+    convergence domain at q != 1, S is ``sum_n r**n / n`` over at most 20
+    orders (r < 1, the domain ratio) over |1 - q|, below 3.6 / 2**-53, so
+    every such equivalence report is certified; at q = 1 S is
+    ``|beta| * max|E|``."""
+    try:
+        return sum(abs(c) * scale ** n for n, c in enumerate(coeffs, 1) if c) < 2.0 ** 1000
+    except OverflowError:
+        return False
+
+
+def _sweep(spectrum: EnergySpectrum, m: MultiplierVector, first: int = 1):
+    """Yield ``(log g - s, work)``, ``s_i = sum_{n<=N} beta_n * E_i**n``,
+    for N = first..m.order, each ``s`` bit for bit what the first N
+    multipliers give alone.  Both are rows of the sweep's scratch block,
+    valid (and the caller's to overwrite) until the next order.  A term
+    that overflows raises :class:`NonFiniteExponent` at the first yield
+    whose sum holds it, without a warning first.
+
+    Finiteness is certified once per sweep (:func:`_certified`); only
+    when it cannot be does each order pay an ``np.errstate`` and the
+    :func:`_checked` pass over its sum."""
     column = _term_column(spectrum, m)
     scratch = _spare_rows(m.order, len(spectrum))
-    log_w, probs = scratch[0], scratch[1]
     log_g = spectrum._log_g()
     sums = _prefix_sums(column, m.order, scratch, first)
+    certified = _certified(spectrum._max_abs(), m.coeffs)
     for order in range(first, m.order + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = _checked(next(sums), column, order)
-        yield _normalize(np.subtract(log_g, s, out=log_w), probs)
+        if certified:
+            s = next(sums)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = _checked(next(sums), column, order)
+        yield np.subtract(log_g, s, out=scratch[0]), scratch[1]
+
+
+def _distributions(spectrum: EnergySpectrum, m: MultiplierVector, first: int = 1):
+    """Yield ``(probs, log Z)`` of the order-N distribution
+    ``P_i = g_i * exp(-s_i - log Z)`` for N = first..m.order, from
+    :func:`_sweep`: ``probs`` is its ``work`` row, valid (and the caller's
+    to overwrite) until the next order."""
+    return (_normalize(a, work) for a, work in _sweep(spectrum, m, first))
 
 
 def _logsumexp(a: np.ndarray, work: np.ndarray) -> float:
@@ -151,17 +182,22 @@ def _logsumexp(a: np.ndarray, work: np.ndarray) -> float:
     bit for bit as ``scipy.special.logsumexp`` (1.17): the m entries tied at
     the maximum give ``log1p(s / m) + log(m) + max``, s the others' sum.
     ``work``, a float64 array shaped like ``a`` other than ``a``, is
-    overwritten as scratch."""
-    a_max = a.max(keepdims=True)
+    overwritten as scratch.  The tail runs on float64 scalars through the
+    same ufuncs as scipy's one-element arrays; a single tie, the usual
+    case, is masked by writing -inf at its index."""
+    a_max = a.max()
     ties = a == a_max
-    m = np.array([np.count_nonzero(ties)], dtype=np.float64)
+    m = np.float64(np.count_nonzero(ties))
     work = np.subtract(a, a_max, out=work)
-    np.copyto(work, -np.inf, where=ties)
-    s = np.exp(work, out=work).sum(keepdims=True)
-    if s[0] != 0:
+    if m == 1:
+        work[ties.argmax()] = -np.inf
+    else:
+        np.copyto(work, -np.inf, where=ties)
+    s = np.exp(work, out=work).sum()
+    if s != 0:
         s = s / m
     # np.log1p, not math.log1p: they differ in the last bit for some s
-    return float((np.log1p(s) + np.log(m) + a_max)[0])
+    return float(np.log1p(s) + np.log(m) + a_max)
 
 
 def _normalize(a: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, float]:
@@ -175,8 +211,9 @@ def _normalize(a: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def log_partition(spectrum: EnergySpectrum, m: MultiplierVector) -> float:
-    """log of ``sum_i g_i * exp(-sum_n beta_n E_i**n)``, max-shift stable."""
-    return next(_distributions(spectrum, m, m.order))[1]
+    """log of ``sum_i g_i * exp(-sum_n beta_n E_i**n)``, max-shift stable:
+    the log Z of :func:`ext_distribution`, without forming probabilities."""
+    return _logsumexp(*next(_sweep(spectrum, m, m.order)))
 
 
 def ext_distribution(

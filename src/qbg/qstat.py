@@ -58,6 +58,13 @@ def log_weights(levels: np.ndarray, params: QParams) -> np.ndarray:
     return log_w
 
 
+def _q_probs(spectrum: EnergySpectrum, params: QParams) -> tuple[np.ndarray, float]:
+    """:func:`q_distribution`'s probabilities, as a new array that is not
+    checked to sum to 1, and its log partition function."""
+    log_w = log_weights(spectrum.levels, params)
+    return _normalize(spectrum._log_g() + log_w, log_w)
+
+
 def q_distribution(
     spectrum: EnergySpectrum, params: QParams
 ) -> tuple[Distribution, float]:
@@ -68,9 +75,7 @@ def q_distribution(
     ``log(sum_i g_i * w_i)`` is accumulated in log space (max shift), so
     large exponents do not overflow.
     """
-    log_w = log_weights(spectrum.levels, params)
-    a = spectrum._log_g() + log_w
-    probs, log_z = _normalize(a, log_w)
+    probs, log_z = _q_probs(spectrum, params)
     return Distribution(probs), log_z
 
 

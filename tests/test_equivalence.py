@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from qbg import (
     q_distribution,
     q_to_multipliers,
 )
+from qbg.extbg import _certified
 from qbg.params import ClaytonParams, _mapped
 from qbg.errors import (
     NonFiniteExponent,
@@ -324,6 +326,43 @@ class TestEquivalenceReport:
         for earlier, later in zip(report.sup_distances, report.sup_distances[1:]):
             assert later <= earlier
         assert report.sup_distances[-1] <= 1e-12
+
+    def test_six_level_report_emits_no_runtime_warning(self):
+        # the sweep is certified finite once, so no order runs under an
+        # np.errstate: numpy set to warn on every floating-point error and
+        # warnings turned into errors must leave it silent
+        s = make_spectrum(list(range(6)), [1, 2, 1, 3, 1, 2])
+        params = QParams(0.98, 1.0)
+        assert _certified(s._max_abs(), q_to_multipliers(params, 12).coeffs)
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            report = equivalence_report(s, params, 12)
+        assert report.orders == tuple(range(1, 13))
+        assert report.sup_distances[-1] <= 1e-12
+
+    @given(spectra(), st.floats(-0.5, 0.5, allow_nan=False).filter(bool),
+           st.floats(0.0, 0.999), st.integers(1, MAX_ORDER))
+    def test_every_report_at_q_other_than_one_is_certified(self, s, one_minus_q, ratio, order):
+        # S = sum_n |beta_n| * max|E|**n < sum_n r**n / n / |1 - q| < 3.6 / |1 - q|
+        e_abs = s._max_abs()
+        beta = ratio / (abs(one_minus_q) * e_abs) if abs(one_minus_q) * e_abs else math.inf
+        assume(math.isfinite(beta))
+        params = QParams(1.0 - one_minus_q, beta)
+        assume(params.q != 1.0 and convergence_domain_ratio(s, params) < 1.0)
+        try:
+            m = q_to_multipliers(params, order)
+        except ValueError:   # a beta_n past the float range: no report either
+            assume(False)
+        assert _certified(e_abs, m.coeffs)
+
+    def test_exact_side_is_not_checked_to_sum_to_one(self):
+        # at |log Z| near 1e6 q_distribution's sum misses 1 by 4e-11; the
+        # report takes the same probabilities unchecked, and the order-N
+        # side rounds the same way at q = 1
+        s = make_spectrum([1e6, 1e6 + 1e-6], [1, 1])
+        with pytest.raises(ValueError, match="^probabilities sum to "):
+            q_distribution(s, QParams(1.0, 1.0))
+        assert equivalence_report(s, QParams(1.0, 1.0), 3).sup_distances == (0.0,) * 3
 
     def test_outside_domain_refuses(self):
         s = make_spectrum([0, 100], [1, 1])

@@ -25,7 +25,9 @@ from qbg import (
     uncenter_multipliers,
 )
 from qbg.errors import LengthMismatch, NonFiniteExponent, OrderTooLarge, ParseError
+from qbg import extbg
 from qbg.extbg import (
+    _certified,
     _distributions,
     _logsumexp,
     _pairwise,
@@ -388,7 +390,8 @@ class TestLogSumExpMatchesScipy:
     @staticmethod
     def check(a):
         a = np.asarray(a, dtype=np.float64)
-        assert _logsumexp(a, np.empty_like(a)) == float(scipy_logsumexp(a))
+        expected = float(scipy_logsumexp(a))
+        assert _logsumexp(a, np.empty_like(a)).hex() == expected.hex()
 
     @pytest.mark.parametrize("a", [
         [0.0],
@@ -408,6 +411,24 @@ class TestLogSumExpMatchesScipy:
         # math.log1p differs from np.log1p in the last bit here
         [2.89, 1.19, 3.47],
         [0.36, -2.3, -9.99, -1.46],
+        # one, two and all entries tied at the maximum
+        [0.25, 1.5, -3.0, 1.5 - 2**-52],
+        [-1.0, 2.75, 0.5, 2.75, -7.0],
+        [2.75] * 3,
+        [-1e-300] * 5,
+        # one element
+        [-0.0],
+        [1e300],
+        [-1.7976931348623157e308],
+        [5e-324],
+        # s == 0: every other entry -inf, or exp underflows to 0
+        [-np.inf, 4.0, -np.inf],
+        [-np.inf, -2.5, -np.inf, -2.5],
+        [0.0, -800.0, -np.inf],
+        # |max| near 1e300
+        [1e300, 1e300 - 1e284, -1e300],
+        [-1e300, -1e300 - 1e284, -1e300 - 3e284],
+        [1.7976931348623157e308, 1.7976931348623157e308, 1e308],
     ])
     def test_explicit_cases(self, a):
         self.check(a)
@@ -593,6 +614,55 @@ class TestPrefixSumsMatchNumpy:
             assert next(sweep)[1] == log_z
         with pytest.raises(NonFiniteExponent):
             next(sweep)
+
+    @pytest.mark.parametrize("scale, certified", [(1 - 2**-20, True), (1 + 2**-20, False)])
+    def test_certification_bound_changes_no_bits(self, monkeypatch, scale, certified):
+        # S = sum |beta_n| * max|E|**n just below 2**1000 skips the checks and
+        # just above runs them.  The tiny levels keep their weights apart, so
+        # the probabilities are not a point mass; E**2 underflows there.
+        levels = np.array([0.0, 1e-301, 2e-301, 3e-301, 7e-301, 1.0])
+        s = make_spectrum(levels, [1, 3, 1, 2, 1, 1])
+        m = MultiplierVector((0.75 * 2.0**1000 * scale, -0.25 * 2.0**1000 * scale))
+        assert _certified(s._max_abs(), m.coeffs) is certified
+        swept = [(bits(p).copy(), z) for p, z in _distributions(s, m)]
+        monkeypatch.setattr(extbg, "_certified", lambda scale, coeffs: not certified)
+        other = [(bits(p).copy(), z) for p, z in _distributions(s, m)]
+        terms = levels[:, None] ** np.arange(1, 3)[None, :] * np.array(m.coeffs)
+        for n, ((p, z), (p_other, z_other)) in enumerate(zip(swept, other), start=1):
+            assert np.array_equal(p, p_other) and z.hex() == z_other.hex()
+            # an independent reference: numpy's row sums and scipy
+            a = np.log(s.degeneracies) - terms[:, :n].sum(axis=1)
+            assert z.hex() == float(scipy_logsumexp(a)).hex()
+            assert np.array_equal(p, bits(np.exp(a - z)))
+            assert np.count_nonzero(p) == 5   # all but E = 1
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(-1e160, 1e160), min_size=1, max_size=5, unique=True),
+           st.lists(st.one_of(st.just(0.0), st.floats(-1e300, 1e300)), min_size=1, max_size=6))
+    def test_nonfinite_exponent_exactly_at_a_nonfinite_term(self, levels, coeffs):
+        s = make_spectrum(sorted(levels), [1] * len(levels))
+        m = MultiplierVector(tuple(coeffs))
+
+        def term_finite(c, e, n):
+            try:
+                return c == 0.0 or math.isfinite(c * e ** n)
+            except OverflowError:
+                return False
+
+        bad = [n for n, c in enumerate(coeffs, start=1)
+               if not all(term_finite(c, e, n) for e in levels)]
+        sweep = _distributions(s, m)
+        # a sum that overflows to -inf makes NaN probabilities with an
+        # invalid-value warning; only the raise is looked at here
+        with np.errstate(invalid="ignore"):
+            for _ in range(1, bad[0] if bad else m.order + 1):
+                next(sweep)
+            if bad:
+                with pytest.raises(NonFiniteExponent):
+                    next(sweep)
+            else:
+                with pytest.raises(StopIteration):
+                    next(sweep)
 
     def test_finite_terms_overflowing_in_the_sum_are_allowed(self):
         # only a non-finite term is an error; an infinite exponent is a zero weight
