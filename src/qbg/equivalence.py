@@ -59,20 +59,16 @@ def equivalence_report(
     that underflowed to 0 would drop a term that is not small.
 
     The exact probabilities are :func:`~qbg.qstat.q_distribution`'s, bit
-    for bit, from :func:`~qbg.qstat.log_weights` and the shared
-    normalisation, without its :class:`~qbg.spectrum.Distribution` copy,
-    so they are not checked to sum to 1: where |log Z| reaches 2**14 the
+    for bit, but not checked to sum to 1: where |log Z| reaches 2**14 the
     distances carry log Z's rounding (README) instead of ending in
     ``ValueError``.  The order-N distributions come from one sweep over
     the spectrum's cached powers (:func:`~qbg.extbg._distributions`), each
-    bit for bit a fresh order-N :func:`~qbg.extbg.ext_distribution`, and
-    certified finite once for all orders.  Each distance is
-    ``max(d.max(), -d.min())`` of ``d = P_N - P_q``, written over the
-    order's probabilities.  With the spectrum's caches warm, the call
-    holds five level-sized arrays at its peak below order 16, six from 16
-    on: the exact probabilities, and the sweep's running sum and scratch
-    block (three rows, four from order 16), whose first two rows hold
-    ``log g - s`` and the probabilities."""
+    bit for bit a fresh order-N :func:`~qbg.extbg.ext_distribution`.
+    With the spectrum's caches warm, the call holds five level-sized
+    arrays at its peak below order 16, six from 16 on: the exact
+    probabilities, and the sweep's running sum and scratch block (three
+    rows, four from order 16), whose first two rows hold ``log g - s``
+    and the probabilities."""
     max_order = _require_order(max_order, "max_order")
     ratio = convergence_domain_ratio(spectrum, params)
     if ratio >= 1.0:

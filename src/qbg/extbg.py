@@ -129,15 +129,11 @@ def _checked(s: np.ndarray, column, order: int) -> np.ndarray:
 
 def _certified(scale: float, coeffs) -> bool:
     """Whether ``S = sum_n |beta_n| * scale**n`` over the nonzero beta_n,
-    ``scale`` being ``max|E|``, is below 2**1000.  Then no term
-    ``beta_n * E_i**n`` and no sum of them can be non-finite, so the sweep
-    need not look.  A power or sum that overflows while forming S means
-    "not certified": Python's ``float ** int`` raises ``OverflowError``,
-    and a zero beta_n, whose term is an exact 0.0, is skipped.  Inside the
-    convergence domain at q != 1, S is ``sum_n r**n / n`` over at most 20
-    orders (r < 1, the domain ratio) over |1 - q|, below 3.6 / 2**-53, so
-    every such equivalence report is certified; at q = 1 S is
-    ``|beta| * max|E|``."""
+    ``scale`` being ``max|E|``, is below 2**1000, so that no term
+    ``beta_n * E_i**n`` and no sum of them can be non-finite.  An overflow
+    while forming S means "not certified".  Every equivalence report at
+    q != 1 is certified: there S < 3.6 / |1 - q| (the domain ratio r < 1
+    gives S = sum_n r**n / n / |1 - q| over at most 20 orders)."""
     try:
         return sum(abs(c) * scale ** n for n, c in enumerate(coeffs, 1) if c) < 2.0 ** 1000
     except OverflowError:
@@ -150,11 +146,8 @@ def _sweep(spectrum: EnergySpectrum, m: MultiplierVector, first: int = 1):
     multipliers give alone.  Both are rows of the sweep's scratch block,
     valid (and the caller's to overwrite) until the next order.  A term
     that overflows raises :class:`NonFiniteExponent` at the first yield
-    whose sum holds it, without a warning first.
-
-    Finiteness is certified once per sweep (:func:`_certified`); only
-    when it cannot be does each order pay an ``np.errstate`` and the
-    :func:`_checked` pass over its sum."""
+    whose sum holds it, without a warning first: only a sweep that
+    :func:`_certified` cannot bound runs :func:`_checked` at each order."""
     column = _term_column(spectrum, m)
     scratch = _spare_rows(m.order, len(spectrum))
     log_g = spectrum._log_g()
@@ -183,16 +176,12 @@ def _logsumexp(a: np.ndarray, work: np.ndarray) -> float:
     the maximum give ``log1p(s / m) + log(m) + max``, s the others' sum.
     ``work``, a float64 array shaped like ``a`` other than ``a``, is
     overwritten as scratch.  The tail runs on float64 scalars through the
-    same ufuncs as scipy's one-element arrays; a single tie, the usual
-    case, is masked by writing -inf at its index."""
+    same ufuncs as scipy's one-element arrays."""
     a_max = a.max()
     ties = a == a_max
     m = np.float64(np.count_nonzero(ties))
     work = np.subtract(a, a_max, out=work)
-    if m == 1:
-        work[ties.argmax()] = -np.inf
-    else:
-        np.copyto(work, -np.inf, where=ties)
+    np.copyto(work, -np.inf, where=ties)
     s = np.exp(work, out=work).sum()
     if s != 0:
         s = s / m

@@ -23,6 +23,7 @@ from qbg import (
     q_distribution,
     q_to_multipliers,
 )
+from qbg import extbg
 from qbg.extbg import _certified
 from qbg.params import ClaytonParams, _mapped
 from qbg.errors import (
@@ -327,16 +328,17 @@ class TestEquivalenceReport:
             assert later <= earlier
         assert report.sup_distances[-1] <= 1e-12
 
-    def test_six_level_report_emits_no_runtime_warning(self):
-        # the sweep is certified finite once, so no order runs under an
-        # np.errstate: numpy set to warn on every floating-point error and
-        # warnings turned into errors must leave it silent
+    def test_certified_report_runs_no_finiteness_check(self, monkeypatch):
+        # the sweep is certified finite once, so no order runs _checked or
+        # an np.errstate: with _checked refusing and numpy warning on every
+        # floating-point error, the order-12 report still completes silently
+        def refuse(*args):
+            raise AssertionError("_checked ran on a certified sweep")
+        monkeypatch.setattr(extbg, "_checked", refuse)
         s = make_spectrum(list(range(6)), [1, 2, 1, 3, 1, 2])
-        params = QParams(0.98, 1.0)
-        assert _certified(s._max_abs(), q_to_multipliers(params, 12).coeffs)
         with warnings.catch_warnings(), np.errstate(all="warn"):
             warnings.simplefilter("error")
-            report = equivalence_report(s, params, 12)
+            report = equivalence_report(s, QParams(0.98, 1.0), 12)
         assert report.orders == tuple(range(1, 13))
         assert report.sup_distances[-1] <= 1e-12
 
