@@ -56,7 +56,8 @@ def equivalence_report(
     q-distribution and the distances would be noise.  At q != 1 and
     beta != 0, where no beta_n is zero, a ``max|E|**n`` that overflows for
     an n up to ``max_order`` raises :class:`NonFiniteExponent`: a beta_n
-    that underflowed to 0 would drop a term that is not small.
+    that underflowed to 0 would drop a term that is not small.  So does a
+    log weight of +inf, or of -inf at every level, on either side.
 
     The exact probabilities are :func:`~qbg.qstat.q_distribution`'s, bit
     for bit, but not checked to sum to 1: where |log Z| reaches 2**14 the

@@ -32,21 +32,15 @@ from .params import load_multipliers  # noqa: F401  (perfbench/spans.py traces i
 from .spectrum import Distribution, EnergySpectrum, _power_matrix, _require_same_levels
 
 
-def _spare_rows(order: int, size: int) -> np.ndarray:
-    """The ``spare`` block :func:`_pairwise` needs for up to ``order``
-    terms of ``size`` entries: three rows, and a fourth from 16 terms on."""
-    return np.empty((3 if order < 16 else 4, size))
-
-
 def _pairwise(column, n: int, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
     """Write the sum of terms 1, ..., n, for n a multiple of 8 up to 128,
     into ``out`` in the order of numpy's ``pairwise_sum`` (which splits a
     longer row in two): 8 lanes, lane j adding terms j, j + 8, ..., joined
     as ((r1+r2)+(r3+r4))+((r5+r6)+(r7+r8)).  ``column(j, buf)`` writes term
     j into ``buf``.  The rows of ``spare``, shape (3, out.size), or (4,
-    out.size) from 16 terms on (see :func:`_spare_rows`), are overwritten as
-    scratch; the fourth holds a lane's later terms, and a lane has more than
-    one only from 16 terms."""
+    out.size) from 16 terms on, are overwritten as scratch; the fourth
+    holds a lane's later terms, and a lane has more than one only from 16
+    terms."""
     b1, b2, b3 = spare[:3]
 
     def lane(j, buf):
@@ -69,10 +63,10 @@ def _prefix_sums(column, count: int, scratch: np.ndarray, first: int):
     to ``np.add.reduce(M[:, :N], axis=1)`` of the C-ordered matrix M whose
     column n - 1 holds term n; ``column(n, buf)`` writes term n into
     ``buf``.  Every yield is the same array, overwritten by the next
-    order's sum.  ``scratch``, the :func:`_spare_rows` of ``count`` terms
-    (or a block with more rows), is the caller's: the sweep overwrites it
-    inside each ``next()`` and leaves it alone between yields, so the
-    caller may use it there.
+    order's sum.  ``scratch``, a block with the rows :func:`_pairwise`
+    needs for ``count`` terms (or more), is the caller's: the sweep
+    overwrites it inside each ``next()`` and leaves it alone between
+    yields, so the caller may use it there.
 
     numpy reduces a row as ``0.0 + pairwise_sum(row)``, which adds left to
     right below 8 terms and changes its tree at each multiple of 8.  Between
@@ -94,39 +88,6 @@ def _prefix_sums(column, count: int, scratch: np.ndarray, first: int):
             yield acc
 
 
-def _term_column(spectrum: EnergySpectrum, m: MultiplierVector):
-    """``column(n, buf)``: writes the terms ``beta_n * E_i**n`` into ``buf``
-    and returns it, from the spectrum's cached powers.  A zero beta_n gives
-    exact +0.0 terms, also where E_i**n overflowed (``0.0 * inf`` is NaN);
-    every sum then has the bits it would have with the terms ``0.0 * E_i**n``,
-    as the leading 0.0 of the row reduction clears the sign of a zero."""
-    powers = spectrum._powers(m.order)
-    coeffs = [float(c) for c in m.coeffs]
-
-    def column(n, buf):
-        c = coeffs[n - 1]
-        if c == 0.0:
-            buf.fill(0.0)
-            return buf
-        return np.multiply(c, powers[n - 1], out=buf)
-
-    return column
-
-
-def _checked(s: np.ndarray, column, order: int) -> np.ndarray:
-    """``s``, the sum of terms 1..order; raises :class:`NonFiniteExponent`
-    if one of those terms is not finite.  A non-finite term makes every sum
-    that holds it non-finite, so the terms are looked at only when ``s`` is
-    not finite: finite terms may still overflow in the sum."""
-    if not np.isfinite(s).all():
-        term = np.empty_like(s)
-        if not all(np.isfinite(column(n, term)).all() for n in range(1, order + 1)):
-            raise NonFiniteExponent(
-                "some beta_n * E**n is not finite; rescale the spectrum or multipliers"
-            )
-    return s
-
-
 def _certified(scale: float, coeffs) -> bool:
     """Whether ``S = sum_n |beta_n| * scale**n`` over the nonzero beta_n,
     ``scale`` being ``max|E|``, is below 2**1000, so that no term
@@ -143,22 +104,41 @@ def _certified(scale: float, coeffs) -> bool:
 def _sweep(spectrum: EnergySpectrum, m: MultiplierVector, first: int = 1):
     """Yield ``(log g - s, work)``, ``s_i = sum_{n<=N} beta_n * E_i**n``,
     for N = first..m.order, each ``s`` bit for bit what the first N
-    multipliers give alone.  Both are rows of the sweep's scratch block,
-    valid (and the caller's to overwrite) until the next order.  A term
-    that overflows raises :class:`NonFiniteExponent` at the first yield
-    whose sum holds it, without a warning first: only a sweep that
-    :func:`_certified` cannot bound runs :func:`_checked` at each order."""
-    column = _term_column(spectrum, m)
-    scratch = _spare_rows(m.order, len(spectrum))
+    multipliers give alone.  Both are rows of the sweep's scratch block
+    (three rows, four from order 16, as :func:`_pairwise` needs), valid
+    (and the caller's to overwrite) until the next order.  A zero beta_n
+    gives exact +0.0 terms, also where E_i**n overflowed (``0.0 * inf`` is
+    NaN): the row reduction's leading 0.0 clears the sign of a zero anyway.
+    Unless :func:`_certified` bounds the sweep, each other term is checked
+    as it is written (at its own order, or inside the first ``next()``), so
+    a non-finite term raises :class:`NonFiniteExponent`, with no warning
+    first, at the first yield whose sum holds it; finite terms may still
+    overflow in the sum."""
+    powers = spectrum._powers(m.order)
+    coeffs = [float(c) for c in m.coeffs]
+    certified = _certified(spectrum._max_abs(), m.coeffs)
+
+    def column(n, buf):
+        c = coeffs[n - 1]
+        if c == 0.0:
+            buf.fill(0.0)
+            return buf
+        np.multiply(c, powers[n - 1], out=buf)
+        if not (certified or np.isfinite(buf).all()):
+            raise NonFiniteExponent(
+                "some beta_n * E**n is not finite; rescale the spectrum or multipliers"
+            )
+        return buf
+
+    scratch = np.empty((3 if m.order < 16 else 4, len(spectrum)))
     log_g = spectrum._log_g()
     sums = _prefix_sums(column, m.order, scratch, first)
-    certified = _certified(spectrum._max_abs(), m.coeffs)
-    for order in range(first, m.order + 1):
+    for _ in range(first, m.order + 1):
         if certified:
             s = next(sums)
         else:
             with np.errstate(over="ignore", invalid="ignore"):
-                s = _checked(next(sums), column, order)
+                s = next(sums)
         yield np.subtract(log_g, s, out=scratch[0]), scratch[1]
 
 
@@ -171,20 +151,24 @@ def _distributions(spectrum: EnergySpectrum, m: MultiplierVector, first: int = 1
 
 
 def _logsumexp(a: np.ndarray, work: np.ndarray) -> float:
-    """``log sum_i exp(a_i)`` of a 1-D float64 array with a finite maximum,
-    bit for bit as ``scipy.special.logsumexp`` (1.17): the m entries tied at
-    the maximum give ``log1p(s / m) + log(m) + max``, s the others' sum.
-    ``work``, a float64 array shaped like ``a`` other than ``a``, is
-    overwritten as scratch.  The tail runs on float64 scalars through the
-    same ufuncs as scipy's one-element arrays."""
+    """``log sum_i exp(a_i)`` of a 1-D float64 array, bit for bit as
+    ``scipy.special.logsumexp`` (1.17): the m entries tied at the maximum
+    give ``log1p(s / m) + log(m) + max``, s the others' sum.  A maximum
+    that is not finite raises :class:`NonFiniteExponent`: at +inf a weight
+    overflows, at -inf every weight is 0.  ``work``, a float64 array shaped
+    like ``a`` other than ``a``, is overwritten as scratch.  The tail runs
+    on float64 scalars through the same ufuncs as scipy's one-element
+    arrays."""
     a_max = a.max()
+    if not math.isfinite(a_max):
+        raise NonFiniteExponent(
+            f"the largest log weight is {a_max}; rescale the spectrum or parameters"
+        )
     ties = a == a_max
     m = np.float64(np.count_nonzero(ties))
     work = np.subtract(a, a_max, out=work)
     np.copyto(work, -np.inf, where=ties)
-    s = np.exp(work, out=work).sum()
-    if s != 0:
-        s = s / m
+    s = np.exp(work, out=work).sum() / m
     # np.log1p, not math.log1p: they differ in the last bit for some s
     return float(np.log1p(s) + np.log(m) + a_max)
 

@@ -31,7 +31,7 @@ def log_weights(levels: np.ndarray, params: QParams) -> np.ndarray:
     :class:`AllLevelsCutOff` if every level is cut off; returns a new array."""
     q, beta = params.q, params.beta
     if abs(q - 1.0) < Q_ONE_EPS:
-        with np.errstate(over="ignore"):   # beta*E past the float range: weight 0
+        with np.errstate(over="ignore"):   # -beta*E = -inf: weight 0; +inf: overflows
             return -beta * levels
     n = len(levels)
     # numpy's float64 log1p is a SIMD kernel that differs from libm's in the
@@ -43,7 +43,7 @@ def log_weights(levels: np.ndarray, params: QParams) -> np.ndarray:
     # call overlapping too.
     buf = np.empty(n + 2)
     buf[-1] = 0.0
-    with np.errstate(over="ignore"):   # u = +-inf: cut off, or log weight -inf
+    with np.errstate(over="ignore"):   # u = -inf: cut off; +inf: log weight +inf (q < 1) or -inf
         u = np.multiply(-(1.0 - q) * beta, levels, out=buf[1:-1])
     # cut off where 1 + u <= 0, or u is NaN: the same levels as u > -1 fails
     cut = np.logical_not(u > -1.0)

@@ -68,7 +68,7 @@ def test_solver_options_fields_are_pinned():
     assert qbg.SolverOptions.__match_args__ == ("tol", "max_iter")
 
 
-@pytest.mark.parametrize("script", ["truncation_sweep.py", "solver_demo.py"])
+@pytest.mark.parametrize("script", ["truncation_sweep.py", "solver_demo.py", "src_lines.py"])
 def test_script_runs(script):
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -76,3 +76,7 @@ def test_script_runs(script):
     result = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
                             env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+    if script == "src_lines.py":
+        # the size of src/ the ROADMAP tracks: lines and code lines
+        name, lines, code = result.stdout.splitlines()[-1].split()
+        assert name == "total" and int(lines) > int(code) > 0

@@ -215,6 +215,18 @@ class TestDistQ:
                          "--out", tmp_path / "dist.csv")
         assert result.stderr == ""
 
+    def test_overflowing_weight_fails_in_one_line(self, tmp_path):
+        # -beta*E = 1e309 at E = -1e308: a weight past the float range
+        spectrum = tmp_path / "s.csv"
+        spectrum.write_text("-1e308,1\n0,1\n")
+        out = tmp_path / "dist.csv"
+        result = run_cli("dist-q", "--spectrum", spectrum, "--q", "1", "--beta", "10",
+                         "--out", out, check=False)
+        assert result.returncode == 1
+        assert result.stderr == ("NonFiniteExponent: the largest log weight is inf; "
+                                 "rescale the spectrum or parameters\n")
+        assert not out.exists()
+
     def test_non_finite_deformation_fails_without_output(self, tmp_path, capsys,
                                                           spectrum_file):
         out = tmp_path / "dist.csv"

@@ -308,6 +308,12 @@ class TestEquivalenceReport:
         assert report.domain_ratio == 0.0
         assert report.sup_distances == (0.0,) * 12
 
+    def test_every_weight_zero_is_refused(self):
+        # at q = 1, -beta*E is -inf at both levels on both sides
+        s = make_spectrum([1e10, 2e10], [1, 1])
+        with pytest.raises(NonFiniteExponent, match="largest log weight is -inf;"):
+            equivalence_report(s, QParams(1.0, 1e300), 3)
+
     def test_overflowing_power_refused_where_no_multiplier_is_zero(self):
         # beta_2 = 0.5 * 1e-201**2 / 2 underflows to 0.0 while 1e200**2
         # overflows: the sweep would drop beta_2 * E**2, about 2.5e-3, and
@@ -329,18 +335,22 @@ class TestEquivalenceReport:
         assert report.sup_distances[-1] <= 1e-12
 
     def test_certified_report_runs_no_finiteness_check(self, monkeypatch):
-        # the sweep is certified finite once, so no order runs _checked or
-        # an np.errstate: with _checked refusing and numpy warning on every
-        # floating-point error, the order-12 report still completes silently
-        def refuse(*args):
-            raise AssertionError("_checked ran on a certified sweep")
-        monkeypatch.setattr(extbg, "_checked", refuse)
+        # the sweep is certified finite once, so no order runs an
+        # np.errstate: with numpy warning on every floating-point error, the
+        # order-12 report completes silently
         s = make_spectrum(list(range(6)), [1, 2, 1, 3, 1, 2])
         with warnings.catch_warnings(), np.errstate(all="warn"):
             warnings.simplefilter("error")
             report = equivalence_report(s, QParams(0.98, 1.0), 12)
         assert report.orders == tuple(range(1, 13))
         assert report.sup_distances[-1] <= 1e-12
+        # nor does it look at a term: certified by force, the term
+        # 1.0 * 1e200**2 = inf goes unchecked into the order-2 sum
+        monkeypatch.setattr(extbg, "_certified", lambda scale, coeffs: True)
+        with np.errstate(over="ignore"):
+            ((a, _),) = extbg._sweep(make_spectrum([0.0, 1e200], [1, 1]),
+                                     MultiplierVector((1.0, 1.0)), 2)
+        assert a[1] == -np.inf
 
     @given(spectra(), st.floats(-0.5, 0.5, allow_nan=False).filter(bool),
            st.floats(0.0, 0.999), st.integers(1, MAX_ORDER))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
@@ -32,8 +32,7 @@ from qbg.extbg import (
     _logsumexp,
     _pairwise,
     _prefix_sums,
-    _spare_rows,
-    _term_column,
+    _sweep,
 )
 from qbg.spectrum import _power_matrix
 
@@ -82,6 +81,13 @@ class TestLogPartition:
         s = make_spectrum([0, 1e200], [1, 1])
         with pytest.raises(NonFiniteExponent):
             log_partition(s, MultiplierVector((1.0, 1.0)))
+
+    @pytest.mark.parametrize("evaluate", [log_partition, ext_distribution])
+    def test_exponent_sum_overflowing_to_minus_inf_is_refused(self, evaluate):
+        # two finite terms: -1.7e308 * 1**n twice is -inf, a log weight of +inf
+        s = make_spectrum([0, 1], [1, 1])
+        with pytest.raises(NonFiniteExponent, match="largest log weight is inf"):
+            evaluate(s, MultiplierVector((-1.7e308, -1.7e308)))
 
     @given(spectra(min_levels=1, max_levels=6, min_energy=-3.0, max_energy=3.0),
            multiplier_lists)
@@ -454,6 +460,13 @@ class TestLogSumExpMatchesScipy:
         self.check(a)
 
 
+@pytest.mark.parametrize("a", [[np.inf, 0.0], [-np.inf, -np.inf], [np.nan, 1.0], [1.0, np.nan]])
+def test_logsumexp_refuses_a_maximum_that_is_not_finite(a):
+    a = np.array(a)
+    with pytest.raises(NonFiniteExponent, match="largest log weight"):
+        _logsumexp(a, np.empty_like(a))
+
+
 def bits(a):
     """The float64 bit patterns of ``a``, so that -0.0 and 0.0 differ."""
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
@@ -462,8 +475,16 @@ def bits(a):
 def exponents(spectrum, m, first=1):
     """Copies of the exponent sums ``sum_{n<=N} beta_n * E_i**n`` of ``m``
     over ``spectrum`` for N = first..m.order, as the sweep forms them."""
-    column = _term_column(spectrum, m)
-    scratch = _spare_rows(m.order, len(spectrum))
+    powers = spectrum._powers(m.order)
+
+    def column(n, buf):
+        c = m.coeffs[n - 1]
+        if c == 0.0:   # an exact +0.0 term, also where E**n overflowed
+            buf.fill(0.0)
+            return buf
+        return np.multiply(c, powers[n - 1], out=buf)
+
+    scratch = np.empty((4, len(spectrum)))
     with np.errstate(over="ignore", invalid="ignore"):
         return [s.copy() for s in _prefix_sums(column, m.order, scratch, first)]
 
@@ -530,13 +551,17 @@ class TestPrefixSumsMatchNumpy:
         rng = np.random.default_rng(16)
         m = self.matrix(rng, 3000, 20)
         out = np.empty(m.shape[0])
-        for n in range(1, 21):
-            spare = _spare_rows(n, m.shape[0])
-            assert spare.shape == ((3 if n < 16 else 4), m.shape[0])
-        for n in (8, 16):   # the sweep calls it at multiples of 8 only
-            _pairwise(self.columns(m), n, out, _spare_rows(n, m.shape[0]))
+        for n, rows in ((8, 3), (16, 4)):   # the sweep calls it at multiples of 8 only
+            _pairwise(self.columns(m), n, out, np.empty((rows, m.shape[0])))
             expected = np.add.reduce(np.ascontiguousarray(m[:, :n]), axis=1)
             assert np.array_equal(bits(np.add(0.0, out)), bits(expected))
+        # the sweep's yields are rows of its scratch block, which has the
+        # fourth row from order 16 on
+        s = make_spectrum(np.arange(3.0), [1, 1, 1])
+        for n in range(1, 21):
+            a, work = next(_sweep(s, MultiplierVector((0.5,) * n), n))
+            assert a.base is work.base
+            assert a.base.shape == ((3 if n < 16 else 4), 3)
 
     def test_exponents_match_term_matrix_row_sums(self):
         rng = np.random.default_rng(41)
@@ -639,6 +664,10 @@ class TestPrefixSumsMatchNumpy:
     @settings(max_examples=300)
     @given(st.lists(st.floats(-1e160, 1e160), min_size=1, max_size=5, unique=True),
            st.lists(st.one_of(st.just(0.0), st.floats(-1e300, 1e300)), min_size=1, max_size=6))
+    # finite terms whose order-2 sum is -inf at E = 1, or +inf at every
+    # level: the strategies above do not find such sums
+    @example([0.0, 1.0], [-1.7e308, -1.7e308])
+    @example([0.9, 1.0], [1.5e308, 1.5e308])
     def test_nonfinite_exponent_exactly_at_a_nonfinite_term(self, levels, coeffs):
         s = make_spectrum(sorted(levels), [1] * len(levels))
         m = MultiplierVector(tuple(coeffs))
@@ -651,18 +680,20 @@ class TestPrefixSumsMatchNumpy:
 
         bad = [n for n, c in enumerate(coeffs, start=1)
                if not all(term_finite(c, e, n) for e in levels)]
+        # refused from the first non-finite term on, and where the largest
+        # log weight -s_i is not finite: a sum of -inf at some level, or of
+        # +inf at every level
+        refused = [n for n, x in enumerate(exponents(s, m), start=1)
+                   if bad and n >= bad[0] or not math.isfinite(np.max(-x))]
         sweep = _distributions(s, m)
-        # a sum that overflows to -inf makes NaN probabilities with an
-        # invalid-value warning; only the raise is looked at here
-        with np.errstate(invalid="ignore"):
-            for _ in range(1, bad[0] if bad else m.order + 1):
+        for _ in range(1, refused[0] if refused else m.order + 1):
+            next(sweep)
+        if refused:
+            with pytest.raises(NonFiniteExponent):
                 next(sweep)
-            if bad:
-                with pytest.raises(NonFiniteExponent):
-                    next(sweep)
-            else:
-                with pytest.raises(StopIteration):
-                    next(sweep)
+        else:
+            with pytest.raises(StopIteration):
+                next(sweep)
 
     def test_finite_terms_overflowing_in_the_sum_are_allowed(self):
         # only a non-finite term is an error; an infinite exponent is a zero weight

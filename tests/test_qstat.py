@@ -20,7 +20,7 @@ from qbg import (
     q_distribution,
     tsallis_entropy,
 )
-from qbg.errors import AllLevelsCutOff, LengthMismatch
+from qbg.errors import AllLevelsCutOff, LengthMismatch, NonFiniteExponent
 from qbg.extbg import bg_entropy
 from qbg import qstat
 
@@ -120,6 +120,20 @@ class TestQDistribution:
         s = make_spectrum([3, 4], [1, 1])
         with pytest.raises(AllLevelsCutOff):
             q_distribution(s, QParams(0.5, 1.0))
+
+    @pytest.mark.parametrize("levels, q, beta, largest", [
+        # a weight past the float range: the log weight -beta*E, or
+        # log1p(u)/(1-q) at u = +inf and q < 1, is +inf
+        ([-1e308, 0.0], 1.0, 10.0, "inf"),
+        ([-1e308, 0.0], 0.5, 10.0, "inf"),
+        # every weight 0: each log weight is -inf
+        ([1e10, 2e10], 1.0, 1e300, "-inf"),
+        ([1e300, 2e300], 2.0, 1e10, "-inf"),
+    ])
+    def test_log_weight_that_is_not_finite_is_refused(self, levels, q, beta, largest):
+        s = make_spectrum(levels, [1, 1])
+        with pytest.raises(NonFiniteExponent, match=f"largest log weight is {largest};"):
+            q_distribution(s, QParams(q, beta))
 
     @given(spectra(min_levels=2), st.sampled_from(Q_GRID),
            st.floats(0.0, 3.0, allow_nan=False))
